@@ -12,7 +12,7 @@ from fahp import (
     default_scale_table,
     fuzzify,
     min_degrees,
-    possibility,
+    possibility_matrix,
     synthetic_extents,
     weights,
 )
@@ -56,10 +56,10 @@ print()
 # The degree of possibility V(S_i >= S_k) reads how far extent i
 # reaches above extent k; the minimum over k is the raw weight.
 print("possibility matrix V(row >= column)")
+degree = possibility_matrix(extents)
 for i in range(3):
     row = "  ".join(
-        f"{possibility(extents[i], extents[k]):.4f}" if k != i else "  .   "
-        for k in range(3)
+        f"{degree[i, k]:.4f}" if k != i else "  .   " for k in range(3)
     )
     print(f"  {row}")
 print()

@@ -8,7 +8,6 @@ the matrix is usable (CR <= 0.1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -68,32 +67,21 @@ class ComparisonMatrix:
         return self.entries.shape[0]
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
 def _mean_gap_rule(means: Sequence[float]) -> np.ndarray:
     """Bin pairwise mean gaps linearly onto the 1..9 intensity ladder.
 
     For means mu_i >= mu_j the intensity is
-    clamp(1 + round(8 * (mu_i - mu_j) / (mu_max - mu_min)), 1, 9); equal
-    extremes give an all-ones matrix.
+    clamp(1 + floor(8 * (mu_i - mu_j) / (mu_max - mu_min) + 0.5), 1, 9)
+    (rounding half up) and a_ji is its reciprocal, so tied means and the
+    diagonal get 1. Equal extremes give an all-ones matrix.
     """
     mu = np.asarray(means, dtype=float)
-    n = mu.size
     span = float(mu.max() - mu.min())
-    entries = np.ones((n, n), dtype=float)
     if span == 0.0:
-        return entries
-    for i in range(n):
-        for j in range(n):
-            if i == j or mu[i] < mu[j]:
-                continue
-            s = 1 + _round_half_up(8.0 * float(mu[i] - mu[j]) / span)
-            s = min(max(s, 1), 9)
-            entries[i, j] = float(s)
-            entries[j, i] = 1.0 / float(s)
-    return entries
+        return np.ones((mu.size, mu.size), dtype=float)
+    gap = mu[:, None] - mu[None, :]
+    intensity = np.clip(np.floor(8.0 * gap / span + 0.5) + 1.0, 1.0, 9.0)
+    return np.where(gap >= 0.0, intensity, 1.0 / intensity.T)
 
 
 def _uniform_rule(means: Sequence[float]) -> np.ndarray:

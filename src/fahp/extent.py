@@ -26,49 +26,45 @@ def synthetic_extents(f: FuzzyComparisonMatrix) -> tuple[Tfn, ...]:
     """
     rows = f.values.sum(axis=1)
     total = rows.sum(axis=0)
-    extents = []
-    for i in range(f.n):
-        extents.append(
-            Tfn(
-                float(rows[i, 0] / total[2]),
-                float(rows[i, 1] / total[1]),
-                float(rows[i, 2] / total[0]),
-            )
-        )
-    return tuple(extents)
+    return tuple(Tfn(*extent) for extent in (rows / total[::-1]).tolist())
+
+
+def possibility_matrix(extents: Sequence[Tfn]) -> np.ndarray:
+    """V[i, k], the degree of possibility that extent i >= extent k.
+
+    Branch order matters: equal-or-higher modal value wins outright (so
+    the diagonal is 1), disjoint supports lose outright, and only genuine
+    overlaps (m_i < m_k and l_k < u_i) reach the ordinate
+    (l_k - u_i) / ((m_i - u_i) - (m_k - l_k)). There m_i <= u_i and
+    m_k >= l_k, and both differences cannot be zero at once (that would
+    give m_k = l_k < u_i = m_i), so the denominator is provably negative.
+    """
+    # three (n, 1) columns; their transposes are the (1, n) rows
+    components = np.array([e.as_tuple() for e in extents], dtype=float).reshape(-1, 3)
+    low, mid, up = components.T[:, :, None]
+    overlap = (mid < mid.T) & (low.T < up)
+    degree = np.divide(
+        low.T - up,
+        (mid - up) - (mid.T - low.T),
+        out=np.zeros(overlap.shape),
+        where=overlap,
+    )
+    degree[mid >= mid.T] = 1.0
+    return degree
 
 
 def possibility(m2: Tfn, m1: Tfn) -> float:
-    """Degree of possibility that m2 >= m1, in [0, 1].
-
-    Branch order matters: equal-or-higher modal value wins outright,
-    disjoint supports lose outright, and only genuine overlaps reach the
-    ordinate formula, whose denominator is then provably negative.
-    """
-    if m2.m >= m1.m:
-        return 1.0
-    if m1.l >= m2.u:
-        return 0.0
-    denominator = (m2.m - m2.u) - (m1.m - m1.l)
-    assert denominator < 0.0, "unreachable for valid TFNs given the branch order"
-    return (m1.l - m2.u) / denominator
-
-
-def min_degree(i: int, extents: Sequence[Tfn]) -> float:
-    """Smallest possibility that extent i dominates each other extent."""
-    if len(extents) < 2:
-        raise TooFewCriteria(len(extents))
-    return min(
-        possibility(extents[i], extents[k])
-        for k in range(len(extents))
-        if k != i
-    )
+    """Degree of possibility that m2 >= m1, in [0, 1]."""
+    return float(possibility_matrix((m2, m1))[0, 1])
 
 
 def min_degrees(extents: Sequence[Tfn]) -> np.ndarray:
-    return np.array(
-        [min_degree(i, extents) for i in range(len(extents))], dtype=float
-    )
+    """Smallest possibility that each extent dominates every other one."""
+    if len(extents) < 2:
+        raise TooFewCriteria(len(extents))
+    degree = possibility_matrix(extents)
+    np.fill_diagonal(degree, np.inf)
+    return degree.min(axis=1)
 
 
 @dataclass(frozen=True)

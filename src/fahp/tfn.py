@@ -45,31 +45,8 @@ class Tfn:
             raise NonPositiveSupport(self.l)
         return Tfn(1.0 / self.u, 1.0 / self.m, 1.0 / self.l)
 
-    def membership(self, x: float) -> float:
-        """Evaluate the triangular membership function at x.
-
-        Convenience for plotting only; no downstream computation uses it.
-        """
-        if x < self.l or x > self.u:
-            return 0.0
-        if x == self.m:
-            return 1.0
-        if x < self.m:
-            return (x - self.l) / (self.m - self.l)
-        return (self.u - x) / (self.u - self.m)
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.l, self.m, self.u)
-
-
-def tfn_add(a: Tfn, b: Tfn) -> Tfn:
-    """Componentwise sum of two TFNs."""
-    return a + b
-
-
-def tfn_reciprocal(a: Tfn) -> Tfn:
-    """Reciprocal of a positive TFN: swap the support ends and invert."""
-    return a.reciprocal()
 
 
 # Direct-group rows as exact fractions, intensity 1..9 in order. Inverse rows
@@ -249,22 +226,7 @@ class FuzzyComparisonMatrix:
         return Tfn(float(l), float(m), float(u))
 
     def as_nested(self) -> list[list[list[float]]]:
-        return [[list(map(float, cell)) for cell in row] for row in self.values]
-
-
-def _match_intensity(value: float, table_len: int) -> tuple[int, str] | None:
-    """Map a crisp entry onto (intensity, direction), or None if off-scale."""
-    if value >= 1.0:
-        k = int(round(value))
-        if 1 <= k <= table_len and abs(value - k) <= SCALE_MATCH_TOL:
-            return k, "real"
-        return None
-    if value <= 0.0:
-        return None
-    k = int(round(1.0 / value))
-    if 1 <= k <= table_len and abs(value - 1.0 / k) <= SCALE_MATCH_TOL:
-        return k, "inverse"
-    return None
+        return self.values.tolist()
 
 
 def fuzzify(comparison, table: ScaleTable | None = None) -> FuzzyComparisonMatrix:
@@ -272,20 +234,37 @@ def fuzzify(comparison, table: ScaleTable | None = None) -> FuzzyComparisonMatri
 
     Entries at or above 1 use the direct group, entries below 1 the inverse
     group; the diagonal always maps to (1, 1, 1). Entries that are not a
-    scale intensity or its reciprocal within 1e-9 raise NonScaleEntry.
+    scale intensity or its reciprocal within 1e-9 raise NonScaleEntry,
+    naming the first such entry in row-major order.
     """
     table = table or default_scale_table()
-    entries = np.asarray(comparison.entries, dtype=float)
-    n = entries.shape[0]
-    out = np.empty((n, n, 3), dtype=float)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                out[i, j] = (1.0, 1.0, 1.0)
-                continue
-            matched = _match_intensity(float(entries[i, j]), len(table))
-            if matched is None:
-                raise NonScaleEntry(i, j, float(entries[i, j]))
-            k, direction = matched
-            out[i, j] = table.lookup(k, direction).as_tuple()
+    size = len(table)
+    # the diagonal is never matched: pin it to 1 so it indexes a valid row
+    entries = np.array(comparison.entries, dtype=float)
+    np.fill_diagonal(entries, 1.0)
+    inverse = entries < 1.0
+    # nearest intensity k, matched against k itself or against 1/k; entries
+    # <= 0 are never on the scale and must not warn on the way there
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.divide(1.0, entries, where=inverse, out=entries.copy())
+        np.rint(k, out=k)
+        target = np.divide(1.0, k, where=inverse, out=k.copy())
+    target -= entries
+    np.abs(target, out=target)
+    on_scale = (k >= 1.0) & (k <= size) & (target <= SCALE_MATCH_TOL)
+    if not on_scale.all():
+        i, j = np.unravel_index(np.argmin(on_scale), on_scale.shape)
+        raise NonScaleEntry(int(i), int(j), float(entries[i, j]))
+    # rows 0..size-1 of the stacked table are the direct group, then the
+    # inverse group in the same intensity order
+    stacked = np.array(
+        [real.as_tuple() for _, real, _ in table]
+        + [inv.as_tuple() for _, _, inv in table]
+    )
+    index = k.astype(np.min_scalar_type(2 * size))
+    index -= 1
+    np.add(index, size, out=index, where=inverse)
+    out = stacked[index]
+    diagonal = np.arange(len(entries))
+    out[diagonal, diagonal] = 1.0
     return FuzzyComparisonMatrix(values=out)

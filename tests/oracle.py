@@ -6,6 +6,7 @@ as exact fractions. Nothing here imports the package under test, so a bug
 in the library cannot hide in this file.
 """
 
+import math
 from fractions import Fraction
 
 # intensity -> (l, m, u) of the direct group; the inverse group is always
@@ -31,6 +32,29 @@ def scale_real(intensity):
 def scale_inverse(intensity):
     l, m, u = SCALE[intensity]
     return (float(1 / u), float(1 / m), float(1 / l))
+
+
+def mean_gap(means):
+    """Comparison matrix from per-criterion means, as an n x n nested list.
+
+    The larger mean of each pair gets 1 + round-half-up(8 * gap / span),
+    kept within 1..9, and the smaller one its reciprocal.
+    """
+    n = len(means)
+    span = max(means) - min(means)
+    crisp = [[1.0] * n for _ in range(n)]
+    if span == 0:
+        return crisp
+    for i in range(n):
+        for j in range(n):
+            gap = means[i] - means[j]
+            if gap < 0:
+                continue
+            s = 1 + math.floor(8.0 * gap / span + 0.5)
+            s = min(max(s, 1), 9)
+            crisp[i][j] = float(s)
+            crisp[j][i] = 1.0 / s
+    return crisp
 
 
 def fuzzify(crisp):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fahp.extent
+import oracle
 from fahp import (
     AllZeroDegrees,
     ComparisonMatrix,
@@ -13,9 +14,9 @@ from fahp import (
     TooFewCriteria,
     WeightVector,
     fuzzify,
-    min_degree,
     min_degrees,
     possibility,
+    possibility_matrix,
     synthetic_extents,
     weights,
 )
@@ -113,6 +114,17 @@ class TestPossibility:
             assert 0.0 < possibility(a, b) < 1.0
 
 
+class TestPossibilityMatrix:
+    @given(extents=st.lists(tfns(), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_every_cell_matches_the_oracle(self, extents):
+        v = possibility_matrix(extents)
+        triples = [e.as_tuple() for e in extents]
+        for i, a in enumerate(triples):
+            for k, b in enumerate(triples):
+                assert v[i, k] == oracle.possibility(a, b)
+
+
 class TestMinDegrees:
     def test_symmetric_three(self):
         extents = [Tfn(1 / 3, 1 / 3, 1 / 3)] * 3
@@ -131,7 +143,7 @@ class TestMinDegrees:
 
     def test_single_extent_rejected(self):
         with pytest.raises(TooFewCriteria):
-            min_degree(0, [Tfn(1, 2, 3)])
+            min_degrees([Tfn(1, 2, 3)])
 
 
 class TestWeights:

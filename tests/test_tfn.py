@@ -16,8 +16,6 @@ from fahp import (
     default_scale_table,
     fuzzify,
     scale_lookup,
-    tfn_add,
-    tfn_reciprocal,
 )
 
 
@@ -36,15 +34,15 @@ class TestTfn:
             Tfn(2.0, 1.0, 3.0)
 
     def test_add_examples(self):
-        assert tfn_add(Tfn(1, 1, 1), Tfn(1, 1, 1)) == Tfn(2, 2, 2)
-        assert tfn_add(Tfn(0.5, 0.75, 1), Tfn(1.5, 2, 2.5)) == Tfn(2, 2.75, 3.5)
-        assert tfn_add(Tfn(0, 0, 0), Tfn(1, 2, 3)) == Tfn(1, 2, 3)
+        assert Tfn(1, 1, 1) + Tfn(1, 1, 1) == Tfn(2, 2, 2)
+        assert Tfn(0.5, 0.75, 1) + Tfn(1.5, 2, 2.5) == Tfn(2, 2.75, 3.5)
+        assert Tfn(0, 0, 0) + Tfn(1, 2, 3) == Tfn(1, 2, 3)
 
     @given(a=tfns(), b=tfns())
     @settings(max_examples=100, deadline=None)
     def test_add_commutative(self, a, b):
-        left = tfn_add(a, b)
-        right = tfn_add(b, a)
+        left = a + b
+        right = b + a
         assert left.l == pytest.approx(right.l, abs=1e-12)
         assert left.m == pytest.approx(right.m, abs=1e-12)
         assert left.u == pytest.approx(right.u, abs=1e-12)
@@ -52,41 +50,26 @@ class TestTfn:
     @given(a=tfns(-1e3, 1e3), b=tfns(-1e3, 1e3), c=tfns(-1e3, 1e3))
     @settings(max_examples=100, deadline=None)
     def test_add_associative(self, a, b, c):
-        left = tfn_add(tfn_add(a, b), c)
-        right = tfn_add(a, tfn_add(b, c))
+        left = (a + b) + c
+        right = a + (b + c)
         assert left.l == pytest.approx(right.l, abs=1e-12)
         assert left.m == pytest.approx(right.m, abs=1e-12)
         assert left.u == pytest.approx(right.u, abs=1e-12)
 
     def test_reciprocal_examples(self):
-        assert tfn_reciprocal(Tfn(1, 1, 1)) == Tfn(1, 1, 1)
-        assert tfn_reciprocal(Tfn(1.5, 2, 2.5)) == Tfn(0.4, 0.5, 1 / 1.5)
+        assert Tfn(1, 1, 1).reciprocal() == Tfn(1, 1, 1)
+        assert Tfn(1.5, 2, 2.5).reciprocal() == Tfn(0.4, 0.5, 1 / 1.5)
 
     def test_reciprocal_involution(self):
         a = Tfn(2.0, 2.5, 3.0)
-        back = tfn_reciprocal(tfn_reciprocal(a))
+        back = a.reciprocal().reciprocal()
         assert back.l == pytest.approx(a.l, abs=1e-15)
         assert back.m == pytest.approx(a.m, abs=1e-15)
         assert back.u == pytest.approx(a.u, abs=1e-15)
 
     def test_reciprocal_needs_positive_support(self):
         with pytest.raises(NonPositiveSupport):
-            tfn_reciprocal(Tfn(0.0, 1.0, 2.0))
-
-    def test_membership_shape(self):
-        t = Tfn(1.0, 2.0, 4.0)
-        assert t.membership(0.5) == 0.0
-        assert t.membership(1.0) == 0.0
-        assert t.membership(1.5) == pytest.approx(0.5)
-        assert t.membership(2.0) == 1.0
-        assert t.membership(3.0) == pytest.approx(0.5)
-        assert t.membership(4.0) == 0.0
-        assert t.membership(5.0) == 0.0
-
-    def test_membership_degenerate(self):
-        t = Tfn(1.0, 1.0, 1.0)
-        assert t.membership(1.0) == 1.0
-        assert t.membership(1.1) == 0.0
+            Tfn(0.0, 1.0, 2.0).reciprocal()
 
 
 class TestScaleTable:
@@ -111,7 +94,7 @@ class TestScaleTable:
     def test_reciprocal_coherence_all_rows(self):
         table = default_scale_table()
         for k, real, inverse in table:
-            expected = tfn_reciprocal(real)
+            expected = real.reciprocal()
             assert abs(inverse.l - expected.l) <= 1e-15, k
             assert abs(inverse.m - expected.m) <= 1e-15, k
             assert abs(inverse.u - expected.u) <= 1e-15, k
@@ -179,6 +162,16 @@ class TestFuzzify:
         with pytest.raises(NonScaleEntry) as err:
             fuzzify(c)
         assert (err.value.i, err.value.j) == (0, 1)
+
+    def test_first_off_scale_entry_in_row_major_order_is_named(self):
+        entries = np.ones((5, 5))
+        # two off-scale pairs; column-major order would meet (3, 1) first
+        entries[1, 3], entries[3, 1] = 1 / 6.5, 6.5
+        entries[2, 4], entries[4, 2] = 2.5, 0.4
+        entries[0, 4], entries[4, 0] = 7.0, 1 / 7.0
+        with pytest.raises(NonScaleEntry) as err:
+            fuzzify(ComparisonMatrix(entries=entries))
+        assert (err.value.i, err.value.j, err.value.value) == (1, 3, 1 / 6.5)
 
     def test_off_scale_reciprocal_rejected(self):
         c = ComparisonMatrix(entries=np.array([[1.0, 1 / 2.5], [2.5, 1.0]]))
