@@ -12,10 +12,13 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, islice
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import (
+    DuplicateColumn,
     EmptyDataset,
     MissingColumn,
     NonNumericCell,
@@ -27,6 +30,10 @@ RATING_MIN = 0.0
 RATING_MAX = 4.0
 
 _DEFAULT_SCHEMA_RESOURCE = "travel_reviews_schema.json"
+
+# records per bulk-parse block: with 4096, every record of a 980-row file
+# is held at once and the peak RSS of a cold start grows
+_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -125,52 +132,119 @@ def load_csv(path, schema: DatasetSchema | None = None) -> RatingMatrix:
     """Parse a ratings CSV into a RatingMatrix.
 
     The first row must be a header containing the schema's id column and
-    every criteria column. Cells are trimmed; the decimal separator is a
-    dot regardless of locale. Row numbers in errors are 1-based data rows
-    (the header is row 0). Fully blank lines are skipped.
+    every criteria column, each exactly once. Cells are trimmed; the
+    decimal separator is a dot regardless of locale. Row numbers in errors
+    are 1-based data rows (the header is row 0). Fully blank lines are
+    skipped.
+
+    A bulk parse handles well-formed files. On any record it cannot take
+    as is, the file is read again by the per-cell loop, which skips blank
+    lines and names the first bad cell.
     """
     schema = schema or DatasetSchema.default()
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
+        parsed = _parse_bulk(reader, *_header_positions(reader, path, schema))
+    if parsed is not None:
         try:
-            header = [cell.strip() for cell in next(reader)]
-        except StopIteration:
-            raise EmptyDataset(f"{path}: file is empty") from None
-        positions = {name: idx for idx, name in enumerate(header)}
-        if schema.id_column not in positions:
-            raise MissingColumn(schema.id_column)
-        for col in schema.columns:
-            if col not in positions:
-                raise MissingColumn(col)
-        id_pos = positions[schema.id_column]
-        col_pos = [positions[c] for c in schema.columns]
+            # RatingMatrix range-checks every cell and counts a non-finite
+            # one as out of range; the loop below names the first such cell
+            return _rating_matrix(*parsed, schema)
+        except OutOfRange:
+            pass
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        parsed = _parse_cells(
+            reader, path, schema.columns, *_header_positions(reader, path, schema)
+        )
+    return _rating_matrix(*parsed, schema)
 
-        row_ids: list[str] = []
-        data: list[list[float]] = []
-        for row_num, record in enumerate(reader, start=1):
-            if not any(cell.strip() for cell in record):
-                continue
-            parsed = []
-            for col_name, pos in zip(schema.columns, col_pos):
-                text = record[pos].strip() if pos < len(record) else ""
-                if not text:
-                    raise NonNumericCell(row_num, col_name, text)
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise NonNumericCell(row_num, col_name, text) from None
-                if not math.isfinite(value):
-                    raise NonNumericCell(row_num, col_name, text)
-                if not RATING_MIN <= value <= RATING_MAX:
-                    raise OutOfRange(row_num, col_name, value)
-                parsed.append(value)
-            row_ids.append(record[id_pos].strip() if id_pos < len(record) else "")
-            data.append(parsed)
 
+def _header_positions(reader, path, schema: DatasetSchema) -> tuple[int, list[int]]:
+    """Read the header row; return the id column's index and the criteria
+    columns' indices, in schema order."""
+    try:
+        header = [cell.strip() for cell in next(reader)]
+    except StopIteration:
+        raise EmptyDataset(f"{path}: file is empty") from None
+    positions: dict[str, int] = {}
+    repeated = set()
+    for idx, name in enumerate(header):
+        if positions.setdefault(name, idx) != idx:
+            repeated.add(name)
+    found = []
+    for name in (schema.id_column, *schema.columns):
+        if name not in positions:
+            raise MissingColumn(name)
+        if name in repeated:
+            raise DuplicateColumn(name)
+        found.append(positions[name])
+    return found[0], found[1:]
+
+
+def _parse_bulk(reader, id_pos: int, col_pos: list[int]):
+    """Every data record as (values array, row ids), or None when a record
+    needs the per-cell loop: blank, short, unreadable or non-numeric.
+
+    Cells go through the same `float` as in the loop, so accepted values
+    are bit-identical: `float` strips the whitespace `str.strip` does, but
+    raises on U+001C..U+001F, which sends such a file to the loop.
+    """
+    if len(col_pos) < 2:
+        # itemgetter of one index returns a bare cell; RatingMatrix
+        # rejects a single criterion anyway
+        return None
+    width = max(id_pos, *col_pos) + 1
+    pick = itemgetter(*col_pos)
+    blocks = []
+    row_ids: list[str] = []
+    try:
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            if min(map(len, chunk)) < width:
+                return None
+            cells = map(float, chain.from_iterable(map(pick, chunk)))
+            blocks.append(np.fromiter(cells, float, len(chunk) * len(col_pos)))
+            row_ids += [record[id_pos].strip() for record in chunk]
+    except (ValueError, csv.Error):
+        return None
+    if not blocks:
+        return None
+    return np.concatenate(blocks).reshape(-1, len(col_pos)), row_ids
+
+
+def _parse_cells(reader, path, columns: list[str], id_pos: int, col_pos: list[int]):
+    """Every data record as (value rows, row ids), checked cell by cell;
+    raises the error that names the first bad cell."""
+    row_ids: list[str] = []
+    data: list[list[float]] = []
+    named = list(zip(columns, col_pos))
+    for row_num, record in enumerate(reader, start=1):
+        if not any(cell.strip() for cell in record):
+            continue
+        parsed = []
+        for col_name, pos in named:
+            text = record[pos].strip() if pos < len(record) else ""
+            if not text:
+                raise NonNumericCell(row_num, col_name, text)
+            try:
+                value = float(text)
+            except ValueError:
+                raise NonNumericCell(row_num, col_name, text) from None
+            if not math.isfinite(value):
+                raise NonNumericCell(row_num, col_name, text)
+            if not RATING_MIN <= value <= RATING_MAX:
+                raise OutOfRange(row_num, col_name, value)
+            parsed.append(value)
+        row_ids.append(record[id_pos].strip() if id_pos < len(record) else "")
+        data.append(parsed)
     if not data:
         raise EmptyDataset(f"{path}: no data rows")
+    return data, row_ids
+
+
+def _rating_matrix(values, row_ids, schema: DatasetSchema) -> RatingMatrix:
     return RatingMatrix(
-        values=np.array(data, dtype=float),
+        values=values,
         row_ids=tuple(row_ids),
         criteria=tuple(schema.labels),
         source_columns=tuple(schema.columns),

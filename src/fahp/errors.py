@@ -11,6 +11,14 @@ class MissingColumn(FahpError):
         super().__init__(f"column {name!r} not found in the CSV header")
 
 
+class DuplicateColumn(FahpError):
+    def __init__(self, name: str):
+        self.name = name
+        super().__init__(
+            f"column {name!r} appears more than once in the CSV header"
+        )
+
+
 class NonNumericCell(FahpError):
     def __init__(self, row: int, column: str, text: str = ""):
         self.row = row

@@ -9,6 +9,7 @@ be mirrored here.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import NonScaleEntry
@@ -94,6 +95,6 @@ def reference_scores(
     columns = len(cells[0])
     folded = []
     for c in range(columns):
-        total = math.fsum(cells[r][c] for r in range(rows))
+        total = math.fsum(map(itemgetter(c), cells))
         folded.append(total / rows if aggregate == "mean" else total)
     return [w[c] * folded[c] for c in range(columns)]

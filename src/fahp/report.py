@@ -134,9 +134,10 @@ def render_matrix_csv(
 ) -> str:
     """Generic matrix dump; floats use shortest round-trip formatting."""
     lines = [",".join(_csv_field(h) for h in header)]
+    # one tolist() per row: the whole matrix as Python floats at once
+    # raises the peak memory of a large dump
     for label, row in zip(row_labels, values):
-        cells = [_csv_field(label)] + [repr(float(v)) for v in row]
-        lines.append(",".join(cells))
+        lines.append(",".join([_csv_field(label), *map(repr, row.tolist())]))
     return "\n".join(lines) + "\n"
 
 

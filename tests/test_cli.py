@@ -1,6 +1,9 @@
 """Command-line behavior, exercised in process through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from fahp import RunConfig, register_derivation_rule, run
 from fahp.cli import EXIT_GATE_REJECTED, EXIT_INPUT_ERROR, EXIT_OK, main
 from fahp.consistency import DERIVATION_RULES
 from fahp.report import render_json
+
+from conftest import REPO_ROOT
 
 SMALL_CSV = "ID,c1,c2\nu1,1.0,3.0\nu2,2.0,4.0\nu3,3.0,2.0\n"
 
@@ -129,6 +134,33 @@ class TestRank:
             code = main(["rank", "--input", str(dataset_path), "--out-json", str(path)])
             assert code == EXIT_OK
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_optimized_interpreter_writes_the_same_report(self, dataset_path, tmp_path):
+        # python -O strips assert statements; no invariant may rest on one
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        artifacts = {
+            "--out-json": "report.json",
+            "--out-csv": "ranking.csv",
+            "--out-svg": "scores.svg",
+        }
+        outputs = []
+        for flags in ([], ["-O"]):
+            out = tmp_path / ("optimized" if flags else "plain")
+            out.mkdir()
+            done = subprocess.run(
+                [
+                    sys.executable, *flags, "-m", "fahp.cli", "rank",
+                    "--input", str(dataset_path),
+                    *(f"{flag}={out / name}" for flag, name in artifacts.items()),
+                ],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == EXIT_OK, done.stderr
+            outputs.append([(out / name).read_bytes() for name in artifacts.values()])
+        assert outputs[0] == outputs[1]
 
     def test_config_echo_reproduces_the_report(self, dataset_path, tmp_path):
         out_json = tmp_path / "report.json"
@@ -273,6 +305,15 @@ class TestInputErrors:
         )
         code = main(["rank", "--input", str(csv_path), "--schema", str(schema_path)])
         assert code == EXIT_INPUT_ERROR
+
+    def test_repeated_header_column(self, tmp_path, capsys):
+        csv_path = tmp_path / "twice.csv"
+        csv_path.write_text("ID,c1,c2,c1\nu1,1.0,2.0,3.0\n", encoding="utf-8")
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(SMALL_SCHEMA, encoding="utf-8")
+        code = main(["rank", "--input", str(csv_path), "--schema", str(schema_path)])
+        assert code == EXIT_INPUT_ERROR
+        assert "column 'c1' appears more than once" in capsys.readouterr().err
 
     def test_out_of_range_cell(self, tmp_path, capsys):
         csv_path = tmp_path / "bad.csv"

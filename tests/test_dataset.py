@@ -1,12 +1,16 @@
 """Ingestion: schema handling, validation errors, and mean statistics."""
 
+import csv
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fahp import (
     DatasetSchema,
+    DuplicateColumn,
     EmptyDataset,
     MissingColumn,
     NonNumericCell,
@@ -16,6 +20,7 @@ from fahp import (
     column_means,
     load_csv,
 )
+from fahp import dataset
 
 TWO_COL_SCHEMA = DatasetSchema(
     id_column="id", criteria_columns=(("a", "A"), ("b", "B"))
@@ -131,6 +136,21 @@ class TestLoadCsv:
         with pytest.raises(OutOfRange):
             load_csv(path, TWO_COL_SCHEMA)
 
+    @pytest.mark.parametrize(
+        "header, name", [("id,a,b,a", "a"), ("id,a,id,b", "id")]
+    )
+    def test_repeated_header_name_is_rejected(self, tmp_path, header, name):
+        path = write(tmp_path, f"{header}\nu1,1.0,2.0,3.0\n")
+        with pytest.raises(DuplicateColumn) as err:
+            load_csv(path, TWO_COL_SCHEMA)
+        assert err.value.name == name
+
+    def test_repeated_unused_column_is_harmless(self, tmp_path):
+        path = write(tmp_path, "x,id,a,x,b\n9,u1,1.0,9,2.0\n")
+        m = load_csv(path, TWO_COL_SCHEMA)
+        assert m.values.tolist() == [[1.0, 2.0]]
+        assert m.row_ids == ("u1",)
+
     def test_header_only_file(self, tmp_path):
         path = write(tmp_path, "id,a,b\n")
         with pytest.raises(EmptyDataset):
@@ -153,6 +173,155 @@ class TestLoadCsv:
         second = load_csv(path, TWO_COL_SCHEMA)
         assert np.array_equal(first.values, second.values)
         assert first.row_ids == second.row_ids
+
+
+THREE_COL_SCHEMA = DatasetSchema(
+    id_column="id", criteria_columns=(("a", "A"), ("b", "B"), ("c", "C"))
+)
+
+CLEAN_TOKENS = ["0", "4", "4.0", "-0.0", "0.5", "1e-3", "3.25", "\u0663", "2_5e-1"]
+DIRTY_TOKENS = [
+    "", "x", "nan", "NaN", "inf", "-inf", "1e999", "4.0000001", "-0.1",
+    "5", "1_0", "1__0", "1,5", "0x1", "\udcff",
+]
+CLEAN_PADS = ["", " ", "\t", "\u3000"]
+# str.strip removes U+001F, float() does not
+DIRTY_PADS = ["\x1f"]
+SHAPES = ["full"] * 6 + ["blank", "spaces", "short", "long"]
+
+
+@st.composite
+def cell_text(draw, dirty):
+    tokens = CLEAN_TOKENS + DIRTY_TOKENS if dirty else CLEAN_TOKENS
+    pads = st.sampled_from(CLEAN_PADS + DIRTY_PADS if dirty else CLEAN_PADS)
+    text = draw(pads) + draw(st.sampled_from(tokens)) + draw(pads)
+    if draw(st.booleans()):
+        text = '"' + text.replace('"', '""') + '"'
+        if dirty and draw(st.booleans()):
+            # padding outside the quotes keeps them in the cell text
+            text = " " + text
+    return text
+
+
+@st.composite
+def ratings_csv(draw):
+    """Bytes of a ratings CSV for THREE_COL_SCHEMA. One file in two is
+    clean apart from padding and quoting; the rest mix in dirty cells,
+    blank, short and over-long records, and stray undecodable bytes."""
+    dirty = draw(st.booleans())
+    header = draw(st.permutations(["id", "a", "b", "c", "x"]))
+    records = [",".join(header)]
+    for i in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(SHAPES)) if dirty else "full"
+        if shape == "full":
+            cells = [
+                f"u{i}" if name == "id" else draw(cell_text(dirty)) for name in header
+            ]
+            records.append(",".join(cells))
+        elif shape == "blank":
+            records.append("")
+        elif shape == "spaces":
+            records.append(draw(st.sampled_from([" ", " , ,", "\t"])))
+        elif shape == "short":
+            cells = [draw(cell_text(dirty)) for _ in header]
+            records.append(",".join(cells[: draw(st.integers(1, len(header) - 1))]))
+        else:
+            cells = [draw(cell_text(dirty)) for _ in range(len(header) + 2)]
+            records.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(records) + draw(st.sampled_from(["", newline]))
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    # a lone surrogate stands for a byte that is not UTF-8
+    return text.encode("utf-8", "surrogateescape")
+
+
+def _outcome(path, schema):
+    try:
+        m = load_csv(path, schema)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return m.values.tobytes(), m.row_ids
+
+
+class TestIngestPaths:
+    """The bulk parse and the per-cell loop agree on every input; the
+    loop alone runs when the bulk parse is replaced by one that declines."""
+
+    @given(data=ratings_csv())
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_bulk_parse_matches_the_loop(self, tmp_path, data):
+        path = tmp_path / "dirty.csv"
+        path.write_bytes(data)
+        both = _outcome(path, THREE_COL_SCHEMA)
+        with mock.patch.object(dataset, "_parse_bulk", return_value=None):
+            loop = _outcome(path, THREE_COL_SCHEMA)
+        assert both == loop
+
+    def test_shipped_dataset_takes_the_bulk_parse(self, dataset_path, monkeypatch):
+        monkeypatch.setattr(dataset, "_parse_cells", _no_loop)
+        assert load_csv(dataset_path).shape == (980, 10)
+
+    def test_file_of_several_chunks_takes_the_bulk_parse(self, tmp_path, monkeypatch):
+        rows = 3 * dataset._CHUNK_ROWS + 5
+        values = np.arange(rows * 2).reshape(rows, 2) % 17 / 4
+        cells = enumerate(values.tolist())
+        lines = ["id,a,b", *(f'u{i}, {a!r} ,"{b!r}"' for i, (a, b) in cells)]
+        path = tmp_path / "many.csv"
+        path.write_bytes(("\ufeff" + "\r\n".join(lines) + "\r\n").encode("utf-8"))
+        monkeypatch.setattr(dataset, "_parse_cells", _no_loop)
+        m = load_csv(path, TWO_COL_SCHEMA)
+        assert m.values.tobytes() == values.tobytes()
+        assert m.row_ids == tuple(f"u{i}" for i in range(rows))
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("u,1.0,oops", NonNumericCell(601, "b", "oops")),
+            ("u,1.0,nan", NonNumericCell(601, "b", "nan")),
+            ("u,4.5,1.0", OutOfRange(601, "a", 4.5)),
+            ("u,1.0", NonNumericCell(601, "b", "")),
+        ],
+        ids=["text", "nan", "out-of-range", "short"],
+    )
+    def test_late_bad_record_is_named_by_the_loop(self, tmp_path, line, error):
+        lines = ["id,a,b", *(f"u{i},1.0,2.0" for i in range(1, 601)), line, "u,3.0,3.0"]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(type(error)) as err:
+            load_csv(path, TWO_COL_SCHEMA)
+        assert str(err.value) == str(error)
+
+    def test_unreadable_record_does_not_hide_an_earlier_bad_cell(self, tmp_path):
+        # the bulk parse reads the oversized field with the bad cell's chunk
+        oversized = "9" * (csv.field_size_limit() + 1)
+        lines = ["id,a,b", "u1,1.0,oops", f"u2,1.0,{oversized}"]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(NonNumericCell) as err:
+            load_csv(path, TWO_COL_SCHEMA)
+        assert (err.value.row, err.value.column) == (1, "b")
+
+    def test_single_criterion_bad_cell_is_named(self, tmp_path):
+        path = write(tmp_path, "id,a\nu1,12\n")
+        schema = DatasetSchema(id_column="id", criteria_columns=(("a", "A"),))
+        with pytest.raises(OutOfRange) as err:
+            load_csv(path, schema)
+        assert (err.value.row, err.value.column, err.value.value) == (1, "a", 12.0)
+
+    def test_late_blank_lines_are_skipped(self, tmp_path):
+        lines = ["id,a,b", *(f"u{i},1.0,2.0" for i in range(600))]
+        lines += ["", " , ", "u,3.0,3.0"]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        m = load_csv(path, TWO_COL_SCHEMA)
+        assert m.shape == (601, 2)
+        assert m.row_ids[-1] == "u"
+
+
+def _no_loop(*args):
+    raise AssertionError("the per-cell loop ran")
 
 
 class TestRatingMatrix:
