@@ -24,6 +24,7 @@ from .errors import (
     NonNumericCell,
     OutOfRange,
     TooFewCriteria,
+    UnreadableRecord,
 )
 
 RATING_MIN = 0.0
@@ -167,6 +168,8 @@ def _header_positions(reader, path, schema: DatasetSchema) -> tuple[int, list[in
         header = [cell.strip() for cell in next(reader)]
     except StopIteration:
         raise EmptyDataset(f"{path}: file is empty") from None
+    except csv.Error as exc:
+        raise UnreadableRecord(0, str(exc)) from None
     positions: dict[str, int] = {}
     repeated = set()
     for idx, name in enumerate(header):
@@ -218,7 +221,7 @@ def _parse_cells(reader, path, columns: list[str], id_pos: int, col_pos: list[in
     row_ids: list[str] = []
     data: list[list[float]] = []
     named = list(zip(columns, col_pos))
-    for row_num, record in enumerate(reader, start=1):
+    for row_num, record in _numbered(reader):
         if not any(cell.strip() for cell in record):
             continue
         parsed = []
@@ -240,6 +243,17 @@ def _parse_cells(reader, path, columns: list[str], id_pos: int, col_pos: list[in
     if not data:
         raise EmptyDataset(f"{path}: no data rows")
     return data, row_ids
+
+
+def _numbered(reader):
+    """The data records with their 1-based numbers; a record the csv module
+    cannot read raises UnreadableRecord with its number."""
+    row_num = 0
+    try:
+        for row_num, record in enumerate(reader, start=1):
+            yield row_num, record
+    except csv.Error as exc:
+        raise UnreadableRecord(row_num + 1, str(exc)) from None
 
 
 def _rating_matrix(values, row_ids, schema: DatasetSchema) -> RatingMatrix:

@@ -19,6 +19,13 @@ class DuplicateColumn(FahpError):
         )
 
 
+class UnreadableRecord(FahpError):
+    def __init__(self, row: int, reason: str):
+        self.row = row
+        self.reason = reason
+        super().__init__(f"row {row}: CSV record cannot be read: {reason}")
+
+
 class NonNumericCell(FahpError):
     def __init__(self, row: int, column: str, text: str = ""):
         self.row = row

@@ -1,5 +1,6 @@
 """Command-line behavior, exercised in process through main(argv)."""
 
+import csv
 import json
 import os
 import subprocess
@@ -8,7 +9,14 @@ import sys
 import numpy as np
 import pytest
 
-from fahp import RunConfig, register_derivation_rule, run
+from fahp import (
+    DatasetSchema,
+    RunConfig,
+    load_csv,
+    normalize,
+    register_derivation_rule,
+    run,
+)
 from fahp.cli import EXIT_GATE_REJECTED, EXIT_INPUT_ERROR, EXIT_OK, main
 from fahp.consistency import DERIVATION_RULES
 from fahp.report import render_json
@@ -315,6 +323,18 @@ class TestInputErrors:
         assert code == EXIT_INPUT_ERROR
         assert "column 'c1' appears more than once" in capsys.readouterr().err
 
+    def test_unreadable_record(self, tmp_path, capsys):
+        csv_path = tmp_path / "huge.csv"
+        huge = "9" * 200_000
+        csv_path.write_text(f"ID,c1,c2\nu1,1.0,{huge}\n", encoding="utf-8")
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(SMALL_SCHEMA, encoding="utf-8")
+        code = main(["rank", "--input", str(csv_path), "--schema", str(schema_path)])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "row 1: CSV record cannot be read" in err
+        assert "Traceback" not in err
+
     def test_out_of_range_cell(self, tmp_path, capsys):
         csv_path = tmp_path / "bad.csv"
         csv_path.write_text("ID,c1,c2\nu1,1.0,5.0\n", encoding="utf-8")
@@ -355,6 +375,39 @@ class TestDump:
         assert len(lines) == 4
         assert lines[1].startswith("u1,")
         assert lines[1].endswith(",0.75")
+
+    @pytest.mark.parametrize(
+        "ids",
+        [("u1", "u2", "u3"), ("a\rb", "c,d", 'e"\nf')],
+        ids=["plain", "quoted"],
+    )
+    def test_normalized_reads_back_bit_equal(self, tmp_path, ids):
+        # -0.0 / max is -0.0, which a float-keyed dedup would print as 0.0
+        quoted = ['"' + i.replace('"', '""') + '"' for i in ids]
+        rows = [f"{quoted[0]},-0.0,1.0", f"{quoted[1]},2.0,0.0", f"{quoted[2]},1.0,4.0"]
+        csv_path = tmp_path / "ratings.csv"
+        csv_path.write_bytes(("ID,c1,c2\n" + "\n".join(rows) + "\n").encode("utf-8"))
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(SMALL_SCHEMA, encoding="utf-8")
+        out_csv = tmp_path / "normalized.csv"
+        code = main(
+            [
+                "dump",
+                "--input", str(csv_path),
+                "--schema", str(schema_path),
+                "--dump", "normalized",
+                "--out-csv", str(out_csv),
+            ]
+        )
+        assert code == EXIT_OK
+        with open(out_csv, newline="", encoding="utf-8") as fh:
+            records = list(csv.reader(fh))
+        expected = normalize(load_csv(csv_path, DatasetSchema.from_json(schema_path)))
+        assert records[0] == ["ID", "c1", "c2"]
+        assert [r[0] for r in records[1:]] == list(ids)
+        assert records[1][1] == "-0.0"
+        values = np.array([[float(cell) for cell in r[1:]] for r in records[1:]])
+        assert values.tobytes() == expected.values.tobytes()
 
     def test_comparison_to_file(self, small_inputs, tmp_path):
         csv_path, schema_path = small_inputs

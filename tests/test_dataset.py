@@ -17,6 +17,7 @@ from fahp import (
     OutOfRange,
     RatingMatrix,
     TooFewCriteria,
+    UnreadableRecord,
     column_means,
     load_csv,
 )
@@ -303,6 +304,22 @@ class TestIngestPaths:
         with pytest.raises(NonNumericCell) as err:
             load_csv(path, TWO_COL_SCHEMA)
         assert (err.value.row, err.value.column) == (1, "b")
+
+    @pytest.mark.parametrize(
+        "lines, row",
+        [
+            (["id,a,b,{big}", "u1,1.0,2.0,x"], 0),
+            (["id,a,b", "u1,1.0,2.0", "", "u3,1.0,{big}", "u4,1.0,2.0"], 3),
+        ],
+        ids=["header", "data"],
+    )
+    def test_unreadable_record_is_named(self, tmp_path, lines, row):
+        oversized = "9" * (csv.field_size_limit() + 1)
+        path = write(tmp_path, "\n".join(lines).format(big=oversized) + "\n")
+        with pytest.raises(UnreadableRecord) as err:
+            load_csv(path, TWO_COL_SCHEMA)
+        assert err.value.row == row
+        assert "field larger than field limit" in str(err.value)
 
     def test_single_criterion_bad_cell_is_named(self, tmp_path):
         path = write(tmp_path, "id,a\nu1,12\n")
