@@ -43,14 +43,15 @@ crisp = ComparisonMatrix(
 fuzzy = fuzzify(crisp)
 print("fuzzified entries of row 0")
 for j in range(3):
-    print(f"  entry(0, {j}) = {fuzzy.entry(0, j).as_tuple()}")
+    print(f"  values[0, {j}] = {tuple(fuzzy.values[0, j].tolist())}")
 print()
 
 # Row sums divided by the component-reversed grand total give one
-# triangular number per criterion, the synthetic extent.
+# triangular number per criterion, the synthetic extent: one (l, m, u)
+# row of an (n, 3) array.
 extents = synthetic_extents(fuzzy)
-for i, ext in enumerate(extents):
-    print(f"  S{i} = ({ext.l:.4f}, {ext.m:.4f}, {ext.u:.4f})")
+for i, (l, m, u) in enumerate(extents):
+    print(f"  S{i} = ({l:.4f}, {m:.4f}, {u:.4f})")
 print()
 
 # The degree of possibility V(S_i >= S_k) reads how far extent i

@@ -7,13 +7,19 @@ consistency-ratio gate rejects the comparison matrix.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
-from .errors import FahpError, GateRejected, PipelineError, UnknownStage
+from .errors import (
+    FahpError,
+    GateRejected,
+    PipelineError,
+    ScaledScoreOverflow,
+    UnknownStage,
+)
 from .pipeline import MODES, RunConfig, run, run_to_consistency
 from .report import (
-    render_extents_csv,
     render_fuzzy_json,
     render_json,
     render_matrix_csv,
@@ -44,12 +50,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         help="JSON schema override mapping CSV columns to criterion labels",
     )
     parser.add_argument(
-        "--scale-mode",
-        choices=MODES,
-        default="standard",
-        help="comparative-scale variant (both use the reciprocal-coherent table)",
-    )
-    parser.add_argument(
         "--ir-mode",
         choices=MODES,
         default="standard",
@@ -59,8 +59,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--derivation",
         default="mean_gap",
-        help="comparison-derivation rule name (mean_gap, uniform, "
-        "or a registered custom rule)",
+        help="comparison-derivation rule name: mean_gap or uniform (a "
+        "custom rule exists only for library callers of "
+        "register_derivation_rule)",
     )
     parser.add_argument(
         "--aggregate",
@@ -123,7 +124,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         input=args.input,
         schema=args.schema,
-        scale_mode=args.scale_mode,
         ir_mode=args.ir_mode,
         derivation=args.derivation,
         aggregate=args.aggregate,
@@ -139,6 +139,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def cmd_rank(config: RunConfig) -> int:
     result = run(config)
     report = result.report
+    for row in report.rows:
+        for value in (row.score_real, row.score_normalized or 0.0):
+            if not math.isfinite(value * config.report_scale):
+                raise ScaledScoreOverflow(row.label, config.report_scale)
     echo = config.echo()
     if config.out_json:
         write_text(config.out_json, render_json(report, echo, config.report_scale))
@@ -208,7 +212,9 @@ def cmd_dump(config: RunConfig, stage: str) -> int:
             text = render_fuzzy_json(result.matrix.criteria, result.fuzzy)
             out_path = config.out_json
         else:
-            text = render_extents_csv(result.matrix.criteria, result.extents)
+            text = render_matrix_csv(
+                ["label", "l", "m", "u"], result.matrix.criteria, result.extents
+            )
             out_path = config.out_csv
 
     if out_path:

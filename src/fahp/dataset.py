@@ -66,12 +66,20 @@ class DatasetSchema:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DatasetSchema":
-        pairs = doc["criteria_columns"]
+        if not isinstance(doc, dict) or not isinstance(doc.get("id_column"), str):
+            raise ValueError("schema must be a JSON object with a string 'id_column'")
+        pairs = doc.get("criteria_columns")
         if isinstance(pairs, dict):
-            items = tuple(pairs.items())
-        else:
-            items = tuple((str(c), str(lab)) for c, lab in pairs)
-        return cls(id_column=str(doc["id_column"]), criteria_columns=items)
+            pairs = list(pairs.items())
+        if not isinstance(pairs, list) or not all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in pairs
+        ):
+            raise ValueError(
+                "schema 'criteria_columns' must be an object or a list of "
+                "[column, label] pairs"
+            )
+        items = tuple((str(c), str(lab)) for c, lab in pairs)
+        return cls(id_column=doc["id_column"], criteria_columns=items)
 
     @classmethod
     def from_json(cls, path) -> "DatasetSchema":

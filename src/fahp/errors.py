@@ -146,6 +146,15 @@ class UnknownStage(FahpError):
         super().__init__(f"unknown dump stage {stage!r}")
 
 
+class ScaledScoreOverflow(FahpError):
+    def __init__(self, label: str, scale: float):
+        self.label = label
+        self.scale = scale
+        super().__init__(
+            f"report: scale {scale!r} makes the score of {label!r} non-finite"
+        )
+
+
 class UnknownDerivationRule(FahpError):
     def __init__(self, name: str, known):
         self.name = name

@@ -17,8 +17,8 @@ from .errors import AllZeroDegrees, TooFewCriteria
 from .tfn import FuzzyComparisonMatrix, Tfn
 
 
-def synthetic_extents(f: FuzzyComparisonMatrix) -> tuple[Tfn, ...]:
-    """One synthetic extent per criterion.
+def synthetic_extents(f: FuzzyComparisonMatrix) -> np.ndarray:
+    """One synthetic extent per criterion, as an (n, 3) array of (l, m, u).
 
     S_i = (R_i.l / T.u, R_i.m / T.m, R_i.u / T.l) where R_i is the i-th
     fuzzy row sum and T the sum of all row sums. Crossing the components
@@ -26,11 +26,14 @@ def synthetic_extents(f: FuzzyComparisonMatrix) -> tuple[Tfn, ...]:
     """
     rows = f.values.sum(axis=1)
     total = rows.sum(axis=0)
-    return tuple(Tfn(*extent) for extent in (rows / total[::-1]).tolist())
+    return rows / total[::-1]
 
 
-def possibility_matrix(extents: Sequence[Tfn]) -> np.ndarray:
+def possibility_matrix(extents: np.ndarray) -> np.ndarray:
     """V[i, k], the degree of possibility that extent i >= extent k.
+
+    extents is an (n, 3) array of (l, m, u) rows; ValueError unless every
+    row satisfies l <= m <= u, which also rejects NaN.
 
     Branch order matters: equal-or-higher modal value wins outright (so
     the diagonal is 1), disjoint supports lose outright, and only genuine
@@ -39,9 +42,13 @@ def possibility_matrix(extents: Sequence[Tfn]) -> np.ndarray:
     m_k >= l_k, and both differences cannot be zero at once (that would
     give m_k = l_k < u_i = m_i), so the denominator is provably negative.
     """
+    components = np.asarray(extents, dtype=float)
+    if components.ndim != 2 or components.shape[1] != 3:
+        raise ValueError(f"expected extents of shape (n, 3), got {components.shape}")
     # three (n, 1) columns; their transposes are the (1, n) rows
-    components = np.array([e.as_tuple() for e in extents], dtype=float).reshape(-1, 3)
     low, mid, up = components.T[:, :, None]
+    if not np.all((low <= mid) & (mid <= up)):
+        raise ValueError("every extent must satisfy l <= m <= u")
     overlap = (mid < mid.T) & (low.T < up)
     degree = np.divide(
         low.T - up,
@@ -55,10 +62,10 @@ def possibility_matrix(extents: Sequence[Tfn]) -> np.ndarray:
 
 def possibility(m2: Tfn, m1: Tfn) -> float:
     """Degree of possibility that m2 >= m1, in [0, 1]."""
-    return float(possibility_matrix((m2, m1))[0, 1])
+    return float(possibility_matrix([m2.as_tuple(), m1.as_tuple()])[0, 1])
 
 
-def min_degrees(extents: Sequence[Tfn]) -> np.ndarray:
+def min_degrees(extents: np.ndarray) -> np.ndarray:
     """Smallest possibility that each extent dominates every other one."""
     if len(extents) < 2:
         raise TooFewCriteria(len(extents))
@@ -102,7 +109,7 @@ class WeightVector:
         return self.weights.size
 
 
-def weights(extents: Sequence[Tfn], labels: Sequence[str] | None = None) -> WeightVector:
+def weights(extents: np.ndarray, labels: Sequence[str] | None = None) -> WeightVector:
     """Normalize the minimum degrees into the weight vector.
 
     Raises AllZeroDegrees when every minimum degree is 0 (mutually

@@ -8,6 +8,7 @@ GateRejected unless the config forces continuation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .ranking import (
     validate,
 )
 from .reference import reference_scores
-from .tfn import FuzzyComparisonMatrix, ScaleTable, Tfn, default_scale_table, fuzzify
+from .tfn import FuzzyComparisonMatrix, default_scale_table, fuzzify
 
 MODES = ("standard", "paper_compat")
 
@@ -42,7 +43,6 @@ class RunConfig:
 
     input: str
     schema: str | None = None
-    scale_mode: str = "standard"
     ir_mode: str = "standard"
     derivation: str = "mean_gap"
     aggregate: str = "mean"
@@ -54,14 +54,12 @@ class RunConfig:
     force: bool = False
 
     def __post_init__(self):
-        if self.scale_mode not in MODES:
-            raise ValueError(f"scale_mode must be one of {MODES}")
         if self.ir_mode not in MODES:
             raise ValueError(f"ir_mode must be one of {MODES}")
-        if not self.report_scale > 0:
-            raise ValueError("report_scale must be positive")
-        if not self.mse_tol > 0:
-            raise ValueError("mse_tol must be positive")
+        if not (math.isfinite(self.report_scale) and self.report_scale > 0):
+            raise ValueError("report_scale must be finite and positive")
+        if not (math.isfinite(self.mse_tol) and self.mse_tol > 0):
+            raise ValueError("mse_tol must be finite and positive")
 
     def echo(self) -> dict:
         """Report-facing view; output paths are omitted on purpose so the
@@ -69,7 +67,6 @@ class RunConfig:
         return {
             "input": self.input,
             "schema": self.schema,
-            "scale_mode": self.scale_mode,
             "ir_mode": self.ir_mode,
             "derivation": self.derivation,
             "aggregate": self.aggregate,
@@ -83,7 +80,6 @@ class RunConfig:
         return cls(
             input=doc["input"],
             schema=doc.get("schema"),
-            scale_mode=doc.get("scale_mode", "standard"),
             ir_mode=doc.get("ir_mode", "standard"),
             derivation=doc.get("derivation", "mean_gap"),
             aggregate=doc.get("aggregate", "mean"),
@@ -104,7 +100,7 @@ class PipelineResult:
     comparison: ComparisonMatrix
     consistency: ConsistencyReport
     fuzzy: FuzzyComparisonMatrix | None = None
-    extents: tuple[Tfn, ...] = ()
+    extents: np.ndarray | None = None
     weight_vector: WeightVector | None = None
     real_scores: ScoreVector | None = None
     normalized_scores: ScoreVector | None = None
@@ -131,13 +127,6 @@ def _load_schema(config: RunConfig) -> DatasetSchema:
     if config.schema is None:
         return DatasetSchema.default()
     return DatasetSchema.from_json(config.schema)
-
-
-def _scale_table(config: RunConfig) -> ScaleTable:
-    # Both modes currently share the default table: the alternative
-    # printed variant of the scale is not a valid TFN table, so the
-    # repaired default is the only coherent choice for either mode.
-    return default_scale_table()
 
 
 def run_to_consistency(config: RunConfig) -> PipelineResult:
@@ -174,7 +163,7 @@ def run(config: RunConfig) -> PipelineResult:
         raise GateRejected(partial.consistency)
 
     with _stage("fuzzify"):
-        table = _scale_table(config)
+        table = default_scale_table()
         fuzzy = fuzzify(partial.comparison, table)
     with _stage("extents"):
         extents = synthetic_extents(fuzzy)

@@ -10,7 +10,6 @@ import numpy as np
 from .consistency import ConsistencyReport
 from .errors import DimensionMismatch, EmptyInput, LengthMismatch
 from .extent import WeightVector
-from .normalize import NormalizedMatrix
 
 AGGREGATES = ("mean", "sum")
 
@@ -21,8 +20,6 @@ class ScoreVector:
 
     labels: tuple[str, ...]
     scores: np.ndarray
-    aggregate: str
-    data_path: str  # "real" or "normalized"
 
     def __post_init__(self):
         s = np.asarray(self.scores, dtype=float)
@@ -47,13 +44,7 @@ def score(data, w: WeightVector, aggregate: str = "mean") -> ScoreVector:
         folded = values.sum(axis=0)
     else:
         raise ValueError(f"aggregate must be one of {AGGREGATES}, got {aggregate!r}")
-    path = "normalized" if isinstance(data, NormalizedMatrix) else "real"
-    return ScoreVector(
-        labels=tuple(data.criteria),
-        scores=w.weights * folded,
-        aggregate=aggregate,
-        data_path=path,
-    )
+    return ScoreVector(labels=tuple(data.criteria), scores=w.weights * folded)
 
 
 @dataclass(frozen=True)
@@ -116,12 +107,11 @@ def build_report(
     normalized_scores: ScoreVector,
     consistency: ConsistencyReport,
     weight_vector: WeightVector,
-    mse_value: float | None = None,
 ) -> RankingReport:
     rows = rank(real_scores, normalized_scores)
     return RankingReport(
         rows=rows,
-        mse=mse_value,
+        mse=None,
         consistency=consistency,
         weights=weight_vector,
     )

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .ranking import RankingReport
-from .tfn import FuzzyComparisonMatrix, Tfn
+from .tfn import FuzzyComparisonMatrix
 
 REPORT_DECIMALS = 4
 
@@ -157,17 +157,8 @@ def render_matrix_csv(
     return "".join(parts)
 
 
-def render_extents_csv(labels: Sequence[str], extents: Sequence[Tfn]) -> str:
-    lines = ["label,l,m,u"]
-    for label, ext in zip(labels, extents):
-        lines.append(
-            f"{_csv_field(label)},{ext.l!r},{ext.m!r},{ext.u!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def render_fuzzy_json(labels: Sequence[str], fuzzy: FuzzyComparisonMatrix) -> str:
-    doc = {"labels": list(labels), "entries": fuzzy.as_nested()}
+    doc = {"labels": list(labels), "entries": fuzzy.values.tolist()}
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 

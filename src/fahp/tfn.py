@@ -9,7 +9,6 @@ always the reciprocal (1/u, 1/m, 1/l) of the direct row.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -36,9 +35,6 @@ class Tfn:
     def __post_init__(self):
         if not (self.l <= self.m <= self.u):
             raise ValueError(f"not a valid TFN: l={self.l} m={self.m} u={self.u}")
-
-    def __add__(self, other: "Tfn") -> "Tfn":
-        return Tfn(self.l + other.l, self.m + other.m, self.u + other.u)
 
     def reciprocal(self) -> "Tfn":
         if self.l <= 0:
@@ -118,13 +114,6 @@ class ScaleTable:
             raise UnknownIntensity(intensity)
         return self.rows[intensity - 1][1]
 
-    def lookup(self, intensity: int, direction: str) -> Tfn:
-        if direction == "real":
-            return self.real(intensity)
-        if direction == "inverse":
-            return self.inverse(intensity)
-        raise ValueError(f"direction must be 'real' or 'inverse', got {direction!r}")
-
     @classmethod
     def default(cls) -> "ScaleTable":
         rows = []
@@ -133,34 +122,6 @@ class ScaleTable:
             real = Tfn(float(fl), float(fm), float(fu))
             inverse = Tfn(float(1 / fu), float(1 / fm), float(1 / fl))
             rows.append((real, inverse))
-        return cls(rows=tuple(rows))
-
-    def to_json(self, path) -> None:
-        """Write the table as a flat JSON list for audit."""
-        doc = []
-        for k, real, inverse in self:
-            doc.append({"intensity": k, "direction": "real", "l": real.l, "m": real.m, "u": real.u})
-            doc.append({"intensity": k, "direction": "inverse", "l": inverse.l, "m": inverse.m, "u": inverse.u})
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"scale": doc}, fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path) -> "ScaleTable":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        by_intensity: dict[int, dict[str, Tfn]] = {}
-        for row in doc["scale"]:
-            entry = by_intensity.setdefault(int(row["intensity"]), {})
-            entry[row["direction"]] = Tfn(float(row["l"]), float(row["m"]), float(row["u"]))
-        rows = []
-        for k in range(1, len(by_intensity) + 1):
-            if k not in by_intensity:
-                raise ValueError(f"scale file skips intensity {k}")
-            pair = by_intensity[k]
-            if "real" not in pair or "inverse" not in pair:
-                raise ValueError(f"intensity {k} needs both directions")
-            rows.append((pair["real"], pair["inverse"]))
         return cls(rows=tuple(rows))
 
 
@@ -172,11 +133,6 @@ def default_scale_table() -> ScaleTable:
     if _DEFAULT_TABLE is None:
         _DEFAULT_TABLE = ScaleTable.default()
     return _DEFAULT_TABLE
-
-
-def scale_lookup(intensity: int, direction: str, table: ScaleTable | None = None) -> Tfn:
-    """Look up the TFN for a Saaty intensity in the given direction."""
-    return (table or default_scale_table()).lookup(intensity, direction)
 
 
 @dataclass(frozen=True)
@@ -220,13 +176,6 @@ class FuzzyComparisonMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    def entry(self, i: int, j: int) -> Tfn:
-        l, m, u = self.values[i, j]
-        return Tfn(float(l), float(m), float(u))
-
-    def as_nested(self) -> list[list[list[float]]]:
-        return self.values.tolist()
 
 
 def fuzzify(comparison, table: ScaleTable | None = None) -> FuzzyComparisonMatrix:

@@ -186,6 +186,8 @@ class TestRank:
         config = RunConfig.from_echo(echo)
         result = run(config)
         assert render_json(result.report, config.echo(), config.report_scale) == text
+        # reports written before --scale-mode was removed still read back
+        assert RunConfig.from_echo({**echo, "scale_mode": "paper_compat"}) == config
 
     def test_stdout_scores_use_report_scale(self, small_inputs, capsys):
         csv_path, schema_path = small_inputs
@@ -356,6 +358,75 @@ class TestInputErrors:
         )
         assert code == EXIT_INPUT_ERROR
         assert "config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "ratings, flags, message",
+        [
+            (SMALL_CSV, ["--report-scale", "inf"], "config: report_scale must be finite"),
+            (SMALL_CSV, ["--mse-tol", "inf"], "config: mse_tol must be finite"),
+            (
+                SMALL_CSV,
+                ["--report-scale", "1.6e308"],
+                "report: scale 1.6e+308 makes the score of 'Second'",
+            ),
+            # every column peaks at 0.1, so only the normalized sums overflow
+            (
+                "ID,c1,c2\n" + "u,0.1,0.1\n" * 10,
+                ["--aggregate", "sum", "--report-scale", "1e308"],
+                "report: scale 1e+308 makes the score of 'First'",
+            ),
+        ],
+        ids=["infinite-scale", "infinite-tolerance", "overflowing-scale", "overflowing-normalized"],
+    )
+    def test_non_finite_output_is_refused(
+        self, small_inputs, tmp_path, capsys, ratings, flags, message
+    ):
+        _, schema_path = small_inputs
+        csv_path = tmp_path / "scaled.csv"
+        csv_path.write_text(ratings, encoding="utf-8")
+        outputs = [tmp_path / name for name in ("r.json", "r.csv", "r.svg")]
+        code = main(
+            [
+                "rank",
+                "--input", str(csv_path),
+                "--schema", schema_path,
+                *flags,
+                *(f"--out-{path.suffix[1:]}={path}" for path in outputs),
+            ]
+        )
+        assert code == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not any(path.exists() for path in outputs)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            None,
+            "text",
+            {"criteria_columns": {"c1": "First", "c2": "Second"}},
+            {"id_column": 3, "criteria_columns": {"c1": "First", "c2": "Second"}},
+            {"id_column": "ID", "criteria_columns": 5},
+            {"id_column": "ID", "criteria_columns": [["c1"], ["c2", "Second"]]},
+            {"id_column": "ID", "criteria_columns": ["c1", "c2"]},
+        ],
+        ids=[
+            "list", "null", "string", "no-id", "numeric-id", "number-columns",
+            "short-pair", "string-pairs",
+        ],
+    )
+    def test_malformed_schema_document(self, small_inputs, tmp_path, capsys, doc):
+        csv_path, _ = small_inputs
+        schema_path = tmp_path / "bad_schema.json"
+        schema_path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["rank", "--input", csv_path, "--schema", str(schema_path)])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("fahp: ingest: schema")
+        assert "Traceback" not in err
 
 
 class TestDump:

@@ -46,40 +46,36 @@ class TestSyntheticExtents:
     def test_two_by_two_symmetric(self):
         f = fuzzify(ComparisonMatrix(entries=np.ones((2, 2))))
         extents = synthetic_extents(f)
-        assert extents[0].as_tuple() == (0.5, 0.5, 0.5)
-        assert extents[1].as_tuple() == (0.5, 0.5, 0.5)
+        assert extents.tolist() == [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]
 
     def test_three_by_three_symmetric(self):
         f = fuzzify(ComparisonMatrix(entries=np.ones((3, 3))))
-        for extent in synthetic_extents(f):
-            assert extent.l == pytest.approx(1 / 3, abs=1e-15)
-            assert extent.m == pytest.approx(1 / 3, abs=1e-15)
-            assert extent.u == pytest.approx(1 / 3, abs=1e-15)
+        extents = synthetic_extents(f)
+        assert extents.shape == (3, 3)
+        assert np.max(np.abs(extents - 1 / 3)) <= 1e-15
 
     def test_worked_two_by_two(self):
         c = ComparisonMatrix(entries=np.array([[1.0, 5.0], [0.2, 1.0]]))
-        extents = synthetic_extents(fuzzify(c))
+        l, m, u = synthetic_extents(fuzzify(c))[0]
         # row sums (2.5, 3, 3.5) and (1.4, 1.5, 5/3), total (3.9, 4.5, 31/6)
-        assert extents[0].l == pytest.approx(2.5 / (31 / 6), abs=1e-15)
-        assert extents[0].m == pytest.approx(3.0 / 4.5, abs=1e-15)
-        assert extents[0].u == pytest.approx(3.5 / 3.9, abs=1e-15)
-        assert extents[0].as_tuple() == pytest.approx(
-            (0.4839, 0.6667, 0.8974), abs=5e-5
-        )
+        assert l == pytest.approx(2.5 / (31 / 6), abs=1e-15)
+        assert m == pytest.approx(3.0 / 4.5, abs=1e-15)
+        assert u == pytest.approx(3.5 / 3.9, abs=1e-15)
+        assert (l, m, u) == pytest.approx((0.4839, 0.6667, 0.8974), abs=5e-5)
 
     def test_modal_components_sum_to_one(self):
         rng = np.random.default_rng(51)
         for _ in range(100):
             f = fuzzify(random_reciprocal(rng, int(rng.integers(2, 8))))
             extents = synthetic_extents(f)
-            assert sum(e.m for e in extents) == pytest.approx(1.0, abs=1e-9)
+            assert extents[:, 1].sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_extents_are_valid_tfns(self):
         rng = np.random.default_rng(52)
         for _ in range(50):
             f = fuzzify(random_reciprocal(rng, 5))
-            for extent in synthetic_extents(f):
-                assert extent.l <= extent.m <= extent.u
+            for l, m, u in synthetic_extents(f):
+                assert l <= m <= u
 
 
 class TestPossibility:
@@ -118,32 +114,46 @@ class TestPossibilityMatrix:
     @given(extents=st.lists(tfns(), min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_every_cell_matches_the_oracle(self, extents):
-        v = possibility_matrix(extents)
         triples = [e.as_tuple() for e in extents]
+        v = possibility_matrix(np.array(triples))
         for i, a in enumerate(triples):
             for k, b in enumerate(triples):
                 assert v[i, k] == oracle.possibility(a, b)
 
+    @pytest.mark.parametrize(
+        "extents",
+        [
+            [[1.0, 2.0, 3.0], [2.5, 2.0, 3.0]],
+            [[1.0, 2.0, 3.0], [1.0, 2.0, 1.5]],
+            [[1.0, 2.0, 3.0], [1.0, float("nan"), 3.0]],
+            [[1.0, 2.0, 3.0], [1.0, 2.0]],
+            [1.0, 2.0, 3.0],
+            np.ones((2, 3, 1)),
+        ],
+        ids=["l>m", "m>u", "nan", "ragged", "flat", "3-d"],
+    )
+    def test_rejects_anything_but_valid_tfn_rows(self, extents):
+        with pytest.raises(ValueError):
+            possibility_matrix(extents)
+
 
 class TestMinDegrees:
     def test_symmetric_three(self):
-        extents = [Tfn(1 / 3, 1 / 3, 1 / 3)] * 3
+        extents = np.full((3, 3), 1 / 3)
         assert min_degrees(extents).tolist() == [1.0, 1.0, 1.0]
 
     def test_dominant_pair(self):
-        dominant = Tfn(2, 3, 4)
-        dominated = Tfn(1, 2, 3.5)
-        degrees = min_degrees([dominant, dominated])
+        degrees = min_degrees(np.array([[2, 3, 4], [1, 2, 3.5]]))
         assert degrees[0] == 1.0
         assert degrees[1] == 0.6
 
     def test_disjoint_dominated_is_zero(self):
-        degrees = min_degrees([Tfn(4, 5, 6), Tfn(1, 2, 3)])
+        degrees = min_degrees(np.array([[4, 5, 6], [1, 2, 3]]))
         assert degrees.tolist() == [1.0, 0.0]
 
     def test_single_extent_rejected(self):
         with pytest.raises(TooFewCriteria):
-            min_degrees([Tfn(1, 2, 3)])
+            min_degrees(np.array([[1, 2, 3]]))
 
 
 class TestWeights:
@@ -153,19 +163,18 @@ class TestWeights:
         assert np.max(np.abs(w.weights - 0.1)) <= 1e-12
 
     def test_hand_normalization(self):
-        w = weights([Tfn(2, 3, 4), Tfn(1, 2, 3.5)], labels=("top", "second"))
+        w = weights(np.array([[2, 3, 4], [1, 2, 3.5]]), labels=("top", "second"))
         assert w.min_degrees.tolist() == [1.0, 0.6]
         assert w.weights[0] == pytest.approx(0.625, abs=1e-12)
         assert w.weights[1] == pytest.approx(0.375, abs=1e-12)
         assert w.labels == ("top", "second")
 
     def test_single_survivor(self):
-        extents = [Tfn(10, 11, 12), Tfn(1, 2, 3), Tfn(2, 3, 4)]
-        w = weights(extents)
+        w = weights(np.array([[10, 11, 12], [1, 2, 3], [2, 3, 4]]))
         assert w.weights.tolist() == [1.0, 0.0, 0.0]
 
     def test_default_labels(self):
-        w = weights([Tfn(2, 3, 4), Tfn(1, 2, 3.5)])
+        w = weights(np.array([[2, 3, 4], [1, 2, 3.5]]))
         assert w.labels == ("C1", "C2")
 
     def test_all_zero_degrees_guard(self, monkeypatch):
@@ -175,7 +184,7 @@ class TestWeights:
             fahp.extent, "min_degrees", lambda extents: np.zeros(len(extents))
         )
         with pytest.raises(AllZeroDegrees):
-            fahp.extent.weights([Tfn(1, 2, 3), Tfn(1, 2, 3)])
+            fahp.extent.weights(np.array([[1, 2, 3], [1, 2, 3]]))
 
     def test_label_permutation_equivariance(self):
         rng = np.random.default_rng(53)

@@ -1,4 +1,4 @@
-"""The comparison, fuzzify and extent kernels against the oracle at large n.
+"""The comparison, power-iteration, fuzzify and extent kernels at large n.
 
 The acceptance oracle check stops at six criteria; these cover the sizes
 wide inputs reach, with distinct means and with heavily tied ones.
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracle
-from fahp import build_comparison, fuzzify, synthetic_extents, weights
+from fahp import build_comparison, fuzzify, lambda_max, synthetic_extents, weights
 
 
 def draw_means(seed, n, tied):
@@ -28,6 +28,10 @@ def test_mean_gap_matrix_and_weights_match_the_oracle(n, tied):
         expected = oracle.mean_gap(means)
         comparison = build_comparison(means)
         assert comparison.entries.tolist() == expected
+
+        # the dominant eigenvalue of a positive matrix is real and simple
+        eigenvalue = np.linalg.eigvals(comparison.entries).real.max()
+        assert lambda_max(comparison) == pytest.approx(eigenvalue, rel=1e-12)
 
         library = weights(synthetic_extents(fuzzify(comparison))).weights
         reference = oracle.weights_from_crisp(expected)

@@ -43,8 +43,6 @@ class TestScore:
         w = weight_vector([0.1, 0.9], ("A", "B"))
         s = score(m, weight_vector([0.5, 0.5], ("A", "B")))
         assert s.scores.tolist() == [1.0, 1.0]
-        assert s.aggregate == "mean"
-        assert s.data_path == "real"
         assert score(m, w).scores.tolist() == [0.2, 1.8]
 
     def test_masking_weight(self):
@@ -56,12 +54,12 @@ class TestScore:
         m = rating([[1.0, 2.0], [3.0, 4.0]], ("A", "B"))
         s = score(m, UNIFORM2, aggregate="sum")
         assert s.scores.tolist() == [2.0, 3.0]
-        assert s.aggregate == "sum"
 
     def test_normalized_path_tagged(self):
         m = rating([[1.0, 2.0], [3.0, 4.0]], ("A", "B"))
         s = score(normalize(m), UNIFORM2)
-        assert s.data_path == "normalized"
+        # columns divided by their maxima 3 and 4 have means 2/3 and 3/4
+        assert s.scores.tolist() == [1 / 3, 0.375]
 
     def test_dimension_mismatch(self):
         m = rating([[1.0, 2.0]], ("A", "B"))
@@ -80,8 +78,6 @@ class TestRank:
         s = ScoreVector(
             labels=("Parks/Picnic Spots", "Beaches", "Restaurants"),
             scores=np.array([0.6361, 0.5670, 0.1065]),
-            aggregate="mean",
-            data_path="real",
         )
         rows = rank(s)
         assert [r.rank for r in rows] == [1, 2, 3]
@@ -95,46 +91,32 @@ class TestRank:
         s = ScoreVector(
             labels=("B", "A"),
             scores=np.array([0.5, 0.5]),
-            aggregate="mean",
-            data_path="real",
         )
         rows = rank(s)
         assert [r.label for r in rows] == ["A", "B"]
         assert [r.rank for r in rows] == [1, 2]
 
     def test_single_criterion(self):
-        s = ScoreVector(
-            labels=("only",), scores=np.array([1.0]), aggregate="mean", data_path="real"
-        )
+        s = ScoreVector(labels=("only",), scores=np.array([1.0]))
         rows = rank(s)
         assert rows[0].rank == 1
         assert rows[0].score_normalized is None
 
     def test_empty_rejected(self):
-        s = ScoreVector(labels=(), scores=np.array([]), aggregate="mean", data_path="real")
+        s = ScoreVector(labels=(), scores=np.array([]))
         with pytest.raises(EmptyInput):
             rank(s)
 
     def test_companion_fills_second_column(self):
-        real = ScoreVector(
-            labels=("A", "B"), scores=np.array([2.0, 1.0]), aggregate="mean", data_path="real"
-        )
-        norm = ScoreVector(
-            labels=("A", "B"), scores=np.array([0.5, 0.25]), aggregate="mean",
-            data_path="normalized",
-        )
+        real = ScoreVector(labels=("A", "B"), scores=np.array([2.0, 1.0]))
+        norm = ScoreVector(labels=("A", "B"), scores=np.array([0.5, 0.25]))
         rows = rank(real, norm)
         assert rows[0].score_normalized == 0.5
         assert rows[1].score_normalized == 0.25
 
     def test_companion_label_mismatch(self):
-        real = ScoreVector(
-            labels=("A", "B"), scores=np.array([2.0, 1.0]), aggregate="mean", data_path="real"
-        )
-        norm = ScoreVector(
-            labels=("A", "C"), scores=np.array([0.5, 0.25]), aggregate="mean",
-            data_path="normalized",
-        )
+        real = ScoreVector(labels=("A", "B"), scores=np.array([2.0, 1.0]))
+        norm = ScoreVector(labels=("A", "C"), scores=np.array([0.5, 0.25]))
         with pytest.raises(ValueError):
             rank(real, norm)
 
@@ -144,8 +126,8 @@ class TestRank:
         for _ in range(50):
             values = rng.uniform(0, 1, size=8)
             c = float(rng.uniform(0.01, 100))
-            base = rank(ScoreVector(labels, values, "mean", "real"))
-            scaled = rank(ScoreVector(labels, values * c, "mean", "real"))
+            base = rank(ScoreVector(labels, values))
+            scaled = rank(ScoreVector(labels, values * c))
             assert [r.label for r in base] == [r.label for r in scaled]
 
     def test_uniform_weights_order_equals_mean_order(self):
@@ -204,8 +186,8 @@ class TestMse:
 def toy_report(scores=(0.5, 0.3, 0.2)):
     labels = ("A", "B", "C")
     w = weight_vector([1 / 3] * 3, labels)
-    real = ScoreVector(labels, np.array(scores), "mean", "real")
-    norm = ScoreVector(labels, np.array(scores) / 2, "mean", "normalized")
+    real = ScoreVector(labels, np.array(scores))
+    norm = ScoreVector(labels, np.array(scores) / 2)
     consistency = check(ComparisonMatrix(entries=np.ones((3, 3))))
     return build_report(real, norm, consistency, w)
 
@@ -234,8 +216,8 @@ class TestReportAndValidate:
         scores = tuple(np.linspace(1.0, 0.1, 10))
         labels = tuple(f"L{i}" for i in range(10))
         w = weight_vector([0.1] * 10, labels)
-        real = ScoreVector(labels, np.array(scores), "mean", "real")
-        norm = ScoreVector(labels, np.array(scores) / 2, "mean", "normalized")
+        real = ScoreVector(labels, np.array(scores))
+        norm = ScoreVector(labels, np.array(scores) / 2)
         consistency = check(ComparisonMatrix(entries=np.ones((10, 10))))
         report = build_report(real, norm, consistency, w)
         oracle = list(scores)
