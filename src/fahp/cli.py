@@ -10,6 +10,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 from .errors import (
     FahpError,
@@ -18,7 +19,7 @@ from .errors import (
     ScaledScoreOverflow,
     UnknownStage,
 )
-from .pipeline import MODES, RunConfig, run, run_to_consistency
+from .pipeline import MODES, RunConfig, run, run_to_consistency, run_to_extents
 from .report import (
     render_fuzzy_json,
     render_json,
@@ -203,11 +204,8 @@ def cmd_dump(config: RunConfig, stage: str) -> int:
             )
         out_path = config.out_csv
     else:
-        # fuzzy and extents need the gate-passing part of the pipeline;
-        # dumps are for audit, so run with force semantics
-        from dataclasses import replace
-
-        result = run(replace(config, force=True))
+        # dumps are for audit, so run past a failed gate
+        result = run_to_extents(replace(config, force=True))
         if stage == "fuzzy":
             text = render_fuzzy_json(result.matrix.criteria, result.fuzzy)
             out_path = config.out_json

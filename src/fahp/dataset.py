@@ -10,10 +10,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import warnings
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, islice
-from operator import itemgetter
 
 import numpy as np
 
@@ -31,10 +31,6 @@ RATING_MIN = 0.0
 RATING_MAX = 4.0
 
 _DEFAULT_SCHEMA_RESOURCE = "travel_reviews_schema.json"
-
-# records per bulk-parse block: with 4096, every record of a 980-row file
-# is held at once and the peak RSS of a cold start grows
-_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -84,7 +80,10 @@ class DatasetSchema:
     @classmethod
     def from_json(cls, path) -> "DatasetSchema":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except (RecursionError, json.JSONDecodeError) as exc:
+                raise ValueError(f"schema {path} is not readable JSON: {exc}") from None
 
     @classmethod
     def default(cls) -> "DatasetSchema":
@@ -146,20 +145,20 @@ def load_csv(path, schema: DatasetSchema | None = None) -> RatingMatrix:
     are 1-based data rows (the header is row 0). Fully blank lines are
     skipped.
 
-    A bulk parse handles well-formed files. On any record it cannot take
-    as is, the file is read again by the per-cell loop, which skips blank
-    lines and names the first bad cell.
+    numpy's C reader handles well-formed files. On any record it cannot
+    take as is, the file is read again by the per-cell loop, which skips
+    blank lines and names the first bad cell.
     """
     schema = schema or DatasetSchema.default()
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        parsed = _parse_bulk(reader, *_header_positions(reader, path, schema))
+        positions = _header_positions(csv.reader(fh), path, schema)
+        parsed = _parse_bulk(fh, *positions) if _fields_fit(path) else None
     if parsed is not None:
         try:
-            # RatingMatrix range-checks every cell and counts a non-finite
-            # one as out of range; the loop below names the first such cell
+            # RatingMatrix checks the shape before the range and counts a
+            # non-finite cell as out of range; the loop names the first bad cell
             return _rating_matrix(*parsed, schema)
-        except OutOfRange:
+        except (EmptyDataset, TooFewCriteria, OutOfRange):
             pass
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -193,34 +192,42 @@ def _header_positions(reader, path, schema: DatasetSchema) -> tuple[int, list[in
     return found[0], found[1:]
 
 
-def _parse_bulk(reader, id_pos: int, col_pos: list[int]):
-    """Every data record as (values array, row ids), or None when a record
-    needs the per-cell loop: blank, short, unreadable or non-numeric.
+def _fields_fit(path) -> bool:
+    """False when a field could be longer than `csv.field_size_limit()`,
+    which the loop reports and numpy reads. A file larger than the limit
+    fits only with a newline in every run of limit + 1 bytes and no `"`,
+    since a quoted field can span lines."""
+    limit = csv.field_size_limit()
+    if os.path.getsize(path) <= limit:
+        return True
+    with open(path, "rb") as fb:
+        data = fb.read()
+    start = 0
+    while len(data) - start > limit:
+        newline = data.rfind(b"\n", start, start + limit + 1)
+        if newline < 0:
+            return False
+        start = newline + 1
+    return b'"' not in data
 
-    Cells go through the same `float` as in the loop, so accepted values
-    are bit-identical: `float` strips the whitespace `str.strip` does, but
-    raises on U+001C..U+001F, which sends such a file to the loop.
-    """
-    if len(col_pos) < 2:
-        # itemgetter of one index returns a bare cell; RatingMatrix
-        # rejects a single criterion anyway
-        return None
-    width = max(id_pos, *col_pos) + 1
-    pick = itemgetter(*col_pos)
-    blocks = []
-    row_ids: list[str] = []
+
+def _parse_bulk(fh, id_pos: int, col_pos: list[int]):
+    """The data records after the header as (values array, row ids), read
+    by numpy's C reader, or None when a record needs the per-cell loop.
+    numpy reads floats as `float` does, bit for bit, but refuses a few
+    tokens `float` takes (`1_0`, non-ASCII digits)."""
     try:
-        while chunk := list(islice(reader, _CHUNK_ROWS)):
-            if min(map(len, chunk)) < width:
-                return None
-            cells = map(float, chain.from_iterable(map(pick, chunk)))
-            blocks.append(np.fromiter(cells, float, len(chunk) * len(col_pos)))
-            row_ids += [record[id_pos].strip() for record in chunk]
-    except (ValueError, csv.Error):
+        with warnings.catch_warnings():
+            # the loop names a file without data records as empty
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(
+                fh, delimiter=",", quotechar='"', comments=None, ndmin=1,
+                usecols=[id_pos, *col_pos],
+                dtype=[("id", object), ("v", float, (len(col_pos),))],
+            )
+    except ValueError:
         return None
-    if not blocks:
-        return None
-    return np.concatenate(blocks).reshape(-1, len(col_pos)), row_ids
+    return table["v"], [row_id.strip() for row_id in table["id"].tolist()]
 
 
 def _parse_cells(reader, path, columns: list[str], id_pos: int, col_pos: list[int]):

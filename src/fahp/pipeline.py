@@ -9,7 +9,7 @@ GateRejected unless the config forces continuation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -152,23 +152,27 @@ def run_to_consistency(config: RunConfig) -> PipelineResult:
     )
 
 
-def run(config: RunConfig) -> PipelineResult:
-    """Execute the full pipeline and return every intermediate.
-
-    Raises GateRejected when the consistency ratio exceeds the limit and
-    the config does not force continuation.
-    """
+def run_to_extents(config: RunConfig) -> PipelineResult:
+    """Run ingest through the synthetic extents; raises GateRejected when
+    the consistency ratio exceeds the limit and the config does not force
+    continuation."""
     partial = run_to_consistency(config)
     if not partial.consistency.accepted and not config.force:
         raise GateRejected(partial.consistency)
 
     with _stage("fuzzify"):
-        table = default_scale_table()
-        fuzzy = fuzzify(partial.comparison, table)
+        fuzzy = fuzzify(partial.comparison, default_scale_table())
     with _stage("extents"):
         extents = synthetic_extents(fuzzy)
+    return replace(partial, fuzzy=fuzzy, extents=extents)
+
+
+def run(config: RunConfig) -> PipelineResult:
+    """Execute the full pipeline and return every intermediate; raises
+    GateRejected as run_to_extents does."""
+    partial = run_to_extents(config)
     with _stage("weights"):
-        weight_vector = weights(extents, labels=partial.matrix.criteria)
+        weight_vector = weights(partial.extents, labels=partial.matrix.criteria)
     with _stage("score"):
         real_scores = score(partial.matrix, weight_vector, config.aggregate)
         normalized_scores = score(partial.normalized, weight_vector, config.aggregate)
@@ -177,24 +181,17 @@ def run(config: RunConfig) -> PipelineResult:
             real_scores, normalized_scores, partial.consistency, weight_vector
         )
     with _stage("validate"):
+        # column views, not lists: no Python float is held per cell
         oracle = reference_scores(
-            partial.matrix.values.tolist(),
+            [memoryview(column) for column in partial.matrix.values.T],
             partial.comparison.entries.tolist(),
-            table,
             aggregate=config.aggregate,
         )
         record = validate(report, oracle, tolerance=config.mse_tol)
         report = report.with_mse(record.mse)
 
-    return PipelineResult(
-        config=config,
-        matrix=partial.matrix,
-        normalized=partial.normalized,
-        means=partial.means,
-        comparison=partial.comparison,
-        consistency=partial.consistency,
-        fuzzy=fuzzy,
-        extents=extents,
+    return replace(
+        partial,
         weight_vector=weight_vector,
         real_scores=real_scores,
         normalized_scores=normalized_scores,

@@ -9,7 +9,6 @@ be mirrored here.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 from typing import Sequence
 
 from .errors import NonScaleEntry
@@ -89,12 +88,11 @@ def reference_scores(
     table: ScaleTable | None = None,
     aggregate: str = "mean",
 ) -> list[float]:
-    """Independent score vector: recomputed weights times column folds."""
+    """Independent score vector: recomputed weights times column folds;
+    cells holds one sequence of floats per criterion column, not per row."""
     w = reference_weights(comparison_entries, table)
-    rows = len(cells)
-    columns = len(cells[0])
     folded = []
-    for c in range(columns):
-        total = math.fsum(map(itemgetter(c), cells))
-        folded.append(total / rows if aggregate == "mean" else total)
-    return [w[c] * folded[c] for c in range(columns)]
+    for column in cells:
+        total = math.fsum(column)
+        folded.append(total / len(column) if aggregate == "mean" else total)
+    return [w[c] * folded[c] for c in range(len(cells))]

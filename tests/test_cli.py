@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from fahp import (
     register_derivation_rule,
     run,
 )
+from fahp import pipeline
 from fahp.cli import EXIT_GATE_REJECTED, EXIT_INPUT_ERROR, EXIT_OK, main
 from fahp.consistency import DERIVATION_RULES
-from fahp.report import render_json
+from fahp.report import render_fuzzy_json, render_json, render_matrix_csv
 
 from conftest import REPO_ROOT
 
@@ -337,6 +339,31 @@ class TestInputErrors:
         assert "row 1: CSV record cannot be read" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "ratings, message",
+        [
+            ("ID,c1,c2\n", "no data rows"),
+            ("ID,c1,c2\n" + "9" * 200_000 + ",1.0,2.0\n", "row 1: CSV record cannot be read"),
+            ("ID,c1,c2,x\nu1,1.0,2.0," + "9" * 200_000 + "\n", "row 1: CSV record cannot be read"),
+        ],
+        ids=["header-only", "oversized-id", "oversized-unused"],
+    )
+    def test_unusable_file_prints_one_line(
+        self, small_inputs, tmp_path, capsys, ratings, message
+    ):
+        _, schema_path = small_inputs
+        csv_path = tmp_path / "ratings.csv"
+        csv_path.write_text(ratings, encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["rank", "--input", str(csv_path), "--schema", schema_path])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("fahp: ingest:")
+        assert err.count("\n") == 1
+        assert message in err
+        assert caught == []
+
     def test_out_of_range_cell(self, tmp_path, capsys):
         csv_path = tmp_path / "bad.csv"
         csv_path.write_text("ID,c1,c2\nu1,1.0,5.0\n", encoding="utf-8")
@@ -422,6 +449,19 @@ class TestInputErrors:
         csv_path, _ = small_inputs
         schema_path = tmp_path / "bad_schema.json"
         schema_path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["rank", "--input", csv_path, "--schema", str(schema_path)])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("fahp: ingest: schema")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text", ["[" * 200_000, '{"id_column": '], ids=["deeply-nested", "truncated"]
+    )
+    def test_unreadable_schema_json(self, small_inputs, tmp_path, capsys, text):
+        csv_path, _ = small_inputs
+        schema_path = tmp_path / "bad_schema.json"
+        schema_path.write_text(text, encoding="utf-8")
         code = main(["rank", "--input", csv_path, "--schema", str(schema_path)])
         assert code == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
@@ -546,7 +586,30 @@ class TestDump:
         assert code == EXIT_OK
         assert capsys.readouterr().out.startswith("label,l,m,u")
 
+    @pytest.mark.parametrize("stage", ["fuzzy", "extents"])
+    def test_past_gate_dumps_skip_the_oracle(
+        self, small_inputs, monkeypatch, capsys, stage
+    ):
+        csv_path, schema_path = small_inputs
+        full = run(RunConfig(input=csv_path, schema=schema_path, force=True))
+        if stage == "fuzzy":
+            expected = render_fuzzy_json(full.matrix.criteria, full.fuzzy)
+        else:
+            expected = render_matrix_csv(
+                ["label", "l", "m", "u"], full.matrix.criteria, full.extents
+            )
+        monkeypatch.setattr(pipeline, "reference_scores", _oracle_must_not_run)
+        code = main(
+            ["dump", "--input", csv_path, "--schema", schema_path, "--dump", stage]
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == expected
+
     def test_stage_flag_required(self, small_inputs, capsys):
         csv_path, schema_path = small_inputs
         code = main(["dump", "--input", csv_path, "--schema", schema_path])
         assert code == EXIT_INPUT_ERROR
+
+
+def _oracle_must_not_run(*args, **kwargs):
+    raise AssertionError("the oracle ran")

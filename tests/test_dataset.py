@@ -1,6 +1,7 @@
 """Ingestion: schema handling, validation errors, and mean statistics."""
 
 import csv
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -180,10 +181,27 @@ THREE_COL_SCHEMA = DatasetSchema(
     id_column="id", criteria_columns=(("a", "A"), ("b", "B"), ("c", "C"))
 )
 
-CLEAN_TOKENS = ["0", "4", "4.0", "-0.0", "0.5", "1e-3", "3.25", "\u0663", "2_5e-1"]
+CLEAN_TOKENS = ["0", "4", "4.0", "-0.0", "0.5", "1e-3", "3.25", "\x0b1"]
+# float() reads these and numpy does not, so they send a file to the loop
+LOOP_TOKENS = ["\u0663", "2_5e-1", "\u0661.\u0665"]
 DIRTY_TOKENS = [
-    "", "x", "nan", "NaN", "inf", "-inf", "1e999", "4.0000001", "-0.1",
-    "5", "1_0", "1__0", "1,5", "0x1", "\udcff",
+    "", "x", "nan", "NaN", "inf", "-inf", "Infinity", "1e999", "4.0000001",
+    "-0.1", "5", "1_0", "1__0", "1,5", "0x1", "\udcff",
+]
+# ids a CSV reader could misread: a comment sign, a delimiter, an escaped
+# quote, a quoted newline, padding in and outside quotes, over 64 characters
+ID_CELLS = [
+    "u{i}", "u#{i}", "#u{i}", '"u,{i}"', '"u""{i}"', '"u\n{i}"', "  u{i} ",
+    '" u{i} "', ' "u{i}"', "u{i}" + "x" * 70,
+]
+# (column, field) with a field longer than the csv module's limit: only the
+# loop reports it, so the bulk parse must decline
+FIELD_LIMIT = csv.field_size_limit()
+OVERSIZED = [
+    ("id", "9" * (FIELD_LIMIT + 1)),
+    ("x", "9" * (FIELD_LIMIT + 1)),
+    ("x", '"' + ("y" * 999 + "\n") * (FIELD_LIMIT // 1000 + 1) + '"'),
+    ("a", "1." + "0" * FIELD_LIMIT),
 ]
 CLEAN_PADS = ["", " ", "\t", "\u3000"]
 # str.strip removes U+001F, float() does not
@@ -193,7 +211,7 @@ SHAPES = ["full"] * 6 + ["blank", "spaces", "short", "long"]
 
 @st.composite
 def cell_text(draw, dirty):
-    tokens = CLEAN_TOKENS + DIRTY_TOKENS if dirty else CLEAN_TOKENS
+    tokens = CLEAN_TOKENS + LOOP_TOKENS + DIRTY_TOKENS if dirty else CLEAN_TOKENS
     pads = st.sampled_from(CLEAN_PADS + DIRTY_PADS if dirty else CLEAN_PADS)
     text = draw(pads) + draw(st.sampled_from(tokens)) + draw(pads)
     if draw(st.booleans()):
@@ -207,16 +225,22 @@ def cell_text(draw, dirty):
 @st.composite
 def ratings_csv(draw):
     """Bytes of a ratings CSV for THREE_COL_SCHEMA. One file in two is
-    clean apart from padding and quoting; the rest mix in dirty cells,
-    blank, short and over-long records, and stray undecodable bytes."""
+    clean apart from padding, quoting and odd ids; the rest mix in dirty
+    cells, blank, short, over-long and oversized records, and stray
+    undecodable bytes."""
     dirty = draw(st.booleans())
     header = draw(st.permutations(["id", "a", "b", "c", "x"]))
-    records = [",".join(header)]
+    # a quoted newline in an unused header cell
+    unused = draw(st.sampled_from(["x", '"x\ny"']))
+    records = [",".join(unused if name == "x" else name for name in header)]
     for i in range(draw(st.integers(0, 12))):
         shape = draw(st.sampled_from(SHAPES)) if dirty else "full"
         if shape == "full":
             cells = [
-                f"u{i}" if name == "id" else draw(cell_text(dirty)) for name in header
+                draw(st.sampled_from(ID_CELLS)).format(i=i)
+                if name == "id"
+                else draw(cell_text(dirty))
+                for name in header
             ]
             records.append(",".join(cells))
         elif shape == "blank":
@@ -229,6 +253,10 @@ def ratings_csv(draw):
         else:
             cells = [draw(cell_text(dirty)) for _ in range(len(header) + 2)]
             records.append(",".join(cells))
+    if dirty and draw(st.integers(0, 3)) == 0:
+        column, field = draw(st.sampled_from(OVERSIZED))
+        cells = [field if name == column else "1" for name in header]
+        records.insert(draw(st.integers(1, len(records))), ",".join(cells))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     text = newline.join(records) + draw(st.sampled_from(["", newline]))
     if draw(st.booleans()):
@@ -268,7 +296,7 @@ class TestIngestPaths:
         assert load_csv(dataset_path).shape == (980, 10)
 
     def test_file_of_several_chunks_takes_the_bulk_parse(self, tmp_path, monkeypatch):
-        rows = 3 * dataset._CHUNK_ROWS + 5
+        rows = 773
         values = np.arange(rows * 2).reshape(rows, 2) % 17 / 4
         cells = enumerate(values.tolist())
         lines = ["id,a,b", *(f'u{i}, {a!r} ,"{b!r}"' for i, (a, b) in cells)]
@@ -320,6 +348,77 @@ class TestIngestPaths:
             load_csv(path, TWO_COL_SCHEMA)
         assert err.value.row == row
         assert "field larger than field limit" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "column, field", OVERSIZED, ids=["id", "unused", "unused-quoted-lines", "criterion"]
+    )
+    def test_oversized_field_is_named_by_the_loop(self, tmp_path, column, field):
+        # numpy reads a field of any length; the csv module refuses it
+        fields = {"id": "u2", "a": "1.0", "b": "2.0", "x": "z"}
+        fields[column] = field
+        lines = ["id,a,b,x", "u1,1.0,2.0,z", ",".join(fields.values())]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(UnreadableRecord) as err:
+            load_csv(path, TWO_COL_SCHEMA)
+        assert str(err.value) == (
+            f"row 2: CSV record cannot be read: field larger than field limit "
+            f"({FIELD_LIMIT})"
+        )
+
+    @pytest.mark.parametrize("text", ["id,a,b\n", "id,a,b\n\n\n"], ids=["bare", "blank-lines"])
+    def test_header_only_file_warns_nothing(self, tmp_path, text):
+        path = write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyDataset) as err:
+                load_csv(path, TWO_COL_SCHEMA)
+        assert str(err.value) == f"{path}: no data rows"
+
+    @pytest.mark.parametrize("cell", ID_CELLS, ids=repr)
+    def test_odd_id_takes_the_bulk_parse(self, tmp_path, monkeypatch, cell):
+        path = write(tmp_path, "id,a,b\n" + cell.format(i=1) + ",1.0,2.0\nu2,3.0,4.0\n")
+        with mock.patch.object(dataset, "_parse_bulk", return_value=None):
+            loop = _outcome(path, TWO_COL_SCHEMA)
+        monkeypatch.setattr(dataset, "_parse_cells", _no_loop)
+        assert _outcome(path, TWO_COL_SCHEMA) == loop
+        assert loop[1][1] == "u2"
+
+    def test_header_with_a_quoted_newline_takes_the_bulk_parse(self, tmp_path, monkeypatch):
+        path = write(tmp_path, 'id,"x\ny",a,b\nu1,z,1.0,2.0\nu2,z,3.0,4.0\n')
+        monkeypatch.setattr(dataset, "_parse_cells", _no_loop)
+        m = load_csv(path, TWO_COL_SCHEMA)
+        assert m.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert m.row_ids == ("u1", "u2")
+
+    @pytest.mark.parametrize(
+        "token, expected",
+        [
+            ("\u0661.\u0665", 1.5),
+            ("1_0", OutOfRange(1, "a", 10.0)),
+            ("Infinity", NonNumericCell(1, "a", "Infinity")),
+            ("\x0b1", 1.0),
+        ],
+        ids=["arabic-indic", "underscore", "infinity", "vertical-tab"],
+    )
+    def test_token_reads_as_float_does(self, tmp_path, token, expected):
+        path = write(tmp_path, f"id,a,b\nu1,{token},2.0\n")
+        with mock.patch.object(dataset, "_parse_bulk", return_value=None):
+            loop = _outcome(path, TWO_COL_SCHEMA)
+        assert _outcome(path, TWO_COL_SCHEMA) == loop
+        if isinstance(expected, Exception):
+            assert loop == (type(expected), str(expected))
+        else:
+            assert loop[0] == np.array([[expected, 2.0]]).tobytes()
+
+    def test_file_larger_than_the_field_limit_takes_the_bulk_parse(
+        self, tmp_path, monkeypatch
+    ):
+        rows = FIELD_LIMIT // 10
+        lines = ["id,a,b", *(f"u{i},1.5,2.5" for i in range(rows))]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        assert path.stat().st_size > FIELD_LIMIT
+        monkeypatch.setattr(dataset, "_parse_cells", _no_loop)
+        assert load_csv(path, TWO_COL_SCHEMA).shape == (rows, 2)
 
     def test_single_criterion_bad_cell_is_named(self, tmp_path):
         path = write(tmp_path, "id,a\nu1,12\n")
