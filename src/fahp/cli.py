@@ -1,6 +1,6 @@
 """Command-line entry points: rank, check, dump.
 
-Exit codes: 0 success, 1 input or configuration error, 2 when the
+Exit codes: 0 success, 1 input, configuration or output error, 2 when the
 consistency-ratio gate rejects the comparison matrix.
 """
 
@@ -18,6 +18,7 @@ from .errors import (
     PipelineError,
     ScaledScoreOverflow,
     UnknownStage,
+    UnwritableOutput,
 )
 from .pipeline import MODES, RunConfig, run, run_to_consistency, run_to_extents
 from .report import (
@@ -137,6 +138,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _write_output(path: str, text: str) -> None:
+    try:
+        write_text(path, text)
+    except OSError as exc:
+        raise UnwritableOutput(path, exc.strerror or str(exc)) from exc
+
+
 def cmd_rank(config: RunConfig) -> int:
     result = run(config)
     report = result.report
@@ -146,11 +154,11 @@ def cmd_rank(config: RunConfig) -> int:
                 raise ScaledScoreOverflow(row.label, config.report_scale)
     echo = config.echo()
     if config.out_json:
-        write_text(config.out_json, render_json(report, echo, config.report_scale))
+        _write_output(config.out_json, render_json(report, echo, config.report_scale))
     if config.out_csv:
-        write_text(config.out_csv, render_ranking_csv(report, config.report_scale))
+        _write_output(config.out_csv, render_ranking_csv(report, config.report_scale))
     if config.out_svg:
-        write_text(config.out_svg, render_scores_svg(report, config.report_scale))
+        _write_output(config.out_svg, render_scores_svg(report, config.report_scale))
 
     cons = report.consistency
     print(f"consistency: cr = {cons.cr:.4f}, accepted = {str(cons.accepted).lower()}")
@@ -216,7 +224,7 @@ def cmd_dump(config: RunConfig, stage: str) -> int:
             out_path = config.out_csv
 
     if out_path:
-        write_text(out_path, text)
+        _write_output(out_path, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -155,6 +155,13 @@ class ScaledScoreOverflow(FahpError):
         )
 
 
+class UnwritableOutput(FahpError):
+    def __init__(self, path: str, reason: str):
+        self.path = path
+        self.reason = reason
+        super().__init__(f"output: {path}: {reason}")
+
+
 class UnknownDerivationRule(FahpError):
     def __init__(self, name: str, known):
         self.name = name

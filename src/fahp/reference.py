@@ -16,17 +16,23 @@ from .tfn import ScaleTable, default_scale_table
 
 _MATCH_TOL = 1e-9
 
+_DIAGONAL = (1.0, 1.0, 1.0)
+
 
 def _lookup(value: float, table: ScaleTable, i: int, j: int) -> tuple[float, float, float]:
+    # an infinite entry, or a reciprocal that overflows, is never on the
+    # scale: test before round(), which cannot take an infinity
     if value >= 1.0:
-        k = int(round(value))
-        if 1 <= k <= len(table) and abs(value - k) <= _MATCH_TOL:
-            return table.real(k).as_tuple()
-        raise NonScaleEntry(i, j, value)
-    if value > 0.0:
-        k = int(round(1.0 / value))
-        if 1 <= k <= len(table) and abs(value - 1.0 / k) <= _MATCH_TOL:
-            return table.inverse(k).as_tuple()
+        if value != math.inf:
+            k = round(value)
+            if 1 <= k <= len(table) and abs(value - k) <= _MATCH_TOL:
+                return table.real(k).as_tuple()
+    elif value > 0.0:
+        inverse = 1.0 / value
+        if inverse != math.inf:
+            k = round(inverse)
+            if 1 <= k <= len(table) and abs(value - 1.0 / k) <= _MATCH_TOL:
+                return table.inverse(k).as_tuple()
     raise NonScaleEntry(i, j, value)
 
 
@@ -34,46 +40,44 @@ def reference_weights(
     comparison_entries: Sequence[Sequence[float]],
     table: ScaleTable | None = None,
 ) -> list[float]:
-    """Crisp comparison matrix to normalized weights, one loop at a time."""
+    """Crisp comparison matrix to normalized weights, one loop at a time.
+
+    Each distinct entry is looked up in the scale table once per call;
+    only matches are remembered, so the first off-scale entry in
+    row-major order raises NonScaleEntry as a plain loop would.
+    """
     table = table or default_scale_table()
     n = len(comparison_entries)
 
-    fuzzy: list[list[tuple[float, float, float]]] = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append((1.0, 1.0, 1.0))
-            else:
-                row.append(_lookup(float(comparison_entries[i][j]), table, i, j))
-        fuzzy.append(row)
-
+    matched: dict = {}
     row_sums = []
     for i in range(n):
-        l = math.fsum(fuzzy[i][j][0] for j in range(n))
-        m = math.fsum(fuzzy[i][j][1] for j in range(n))
-        u = math.fsum(fuzzy[i][j][2] for j in range(n))
-        row_sums.append((l, m, u))
-    total_l = math.fsum(r[0] for r in row_sums)
-    total_m = math.fsum(r[1] for r in row_sums)
-    total_u = math.fsum(r[2] for r in row_sums)
-    extents = [
-        (r[0] / total_u, r[1] / total_m, r[2] / total_l) for r in row_sums
-    ]
+        row = comparison_entries[i]
+        tfns = []
+        for j in range(n):
+            if j == i:
+                tfns.append(_DIAGONAL)
+                continue
+            value = row[j]
+            tfn = matched.get(value)
+            if tfn is None:
+                tfn = matched[value] = _lookup(float(value), table, i, j)
+            tfns.append(tfn)
+        row_sums.append(tuple(map(math.fsum, zip(*tfns))))
+    total_l, total_m, total_u = map(math.fsum, zip(*row_sums))
+    extents = [(l / total_u, m / total_m, u / total_l) for l, m, u in row_sums]
 
     degrees = []
-    for i in range(n):
+    for l_i, m_i, u_i in extents:
         best = 1.0
-        for k in range(n):
-            if k == i:
+        for l_k, m_k, u_k in extents:
+            # V(S_i >= S_k) = 1 cannot lower the minimum; k == i lands here
+            if m_i >= m_k:
                 continue
-            s_i, s_k = extents[i], extents[k]
-            if s_i[1] >= s_k[1]:
-                v = 1.0
-            elif s_k[0] >= s_i[2]:
+            if l_k >= u_i:
                 v = 0.0
             else:
-                v = (s_k[0] - s_i[2]) / ((s_i[1] - s_i[2]) - (s_k[1] - s_k[0]))
+                v = (l_k - u_i) / ((m_i - u_i) - (m_k - l_k))
             if v < best:
                 best = v
         degrees.append(best)

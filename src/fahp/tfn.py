@@ -193,12 +193,13 @@ def fuzzify(comparison, table: ScaleTable | None = None) -> FuzzyComparisonMatri
     np.fill_diagonal(entries, 1.0)
     inverse = entries < 1.0
     # nearest intensity k, matched against k itself or against 1/k; entries
-    # <= 0 are never on the scale and must not warn on the way there
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # <= 0, infinite ones and those whose reciprocal overflows are never on
+    # the scale and must not warn on the way there
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         k = np.divide(1.0, entries, where=inverse, out=entries.copy())
         np.rint(k, out=k)
         target = np.divide(1.0, k, where=inverse, out=k.copy())
-    target -= entries
+        target -= entries
     np.abs(target, out=target)
     on_scale = (k >= 1.0) & (k <= size) & (target <= SCALE_MATCH_TOL)
     if not on_scale.all():

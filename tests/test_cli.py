@@ -18,7 +18,7 @@ from fahp import (
     register_derivation_rule,
     run,
 )
-from fahp import pipeline
+from fahp import cli, pipeline
 from fahp.cli import EXIT_GATE_REJECTED, EXIT_INPUT_ERROR, EXIT_OK, main
 from fahp.consistency import DERIVATION_RULES
 from fahp.report import render_fuzzy_json, render_json, render_matrix_csv
@@ -609,6 +609,67 @@ class TestDump:
         csv_path, schema_path = small_inputs
         code = main(["dump", "--input", csv_path, "--schema", schema_path])
         assert code == EXIT_INPUT_ERROR
+
+
+
+# (command, extra flags, output flag): every path the CLI writes to
+OUTPUTS = [
+    ("rank", [], "--out-json"),
+    ("rank", [], "--out-csv"),
+    ("rank", [], "--out-svg"),
+    ("dump", ["--dump", "normalized"], "--out-csv"),
+    ("dump", ["--dump", "extents"], "--out-csv"),
+    ("dump", ["--dump", "fuzzy"], "--out-json"),
+]
+
+
+class TestOutputErrors:
+    def _expect_output_error(self, capsys, argv, path, reason):
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"fahp: output: {path}: {reason}\n"
+        assert "Traceback" not in captured.err
+        # nothing of the summary is printed for a run whose output failed
+        assert "mse vs reference" not in captured.out
+
+    @pytest.mark.parametrize("command, extra, flag", OUTPUTS)
+    def test_output_path_is_a_directory(
+        self, small_inputs, tmp_path, capsys, command, extra, flag
+    ):
+        csv_path, schema_path = small_inputs
+        argv = [command, "--input", csv_path, "--schema", schema_path, *extra]
+        self._expect_output_error(
+            capsys, [*argv, flag, str(tmp_path)], tmp_path, "Is a directory"
+        )
+
+    @pytest.mark.parametrize("command, extra, flag", OUTPUTS)
+    def test_output_directory_is_missing(
+        self, small_inputs, tmp_path, capsys, command, extra, flag
+    ):
+        # the input is fine, so the message must not blame it
+        csv_path, schema_path = small_inputs
+        path = tmp_path / "missing" / "out"
+        argv = [command, "--input", csv_path, "--schema", schema_path, *extra]
+        self._expect_output_error(
+            capsys, [*argv, flag, str(path)], path, "No such file or directory"
+        )
+
+    @pytest.mark.parametrize("command, extra, flag", OUTPUTS[::3])
+    def test_output_permission_denied(
+        self, small_inputs, tmp_path, monkeypatch, capsys, command, extra, flag
+    ):
+        # a denied open, simulated: the tests may run as a user who may
+        # write anywhere
+        def denied(path, text):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "write_text", denied)
+        csv_path, schema_path = small_inputs
+        path = tmp_path / "out"
+        argv = [command, "--input", csv_path, "--schema", schema_path, *extra]
+        self._expect_output_error(
+            capsys, [*argv, flag, str(path)], path, "Permission denied"
+        )
 
 
 def _oracle_must_not_run(*args, **kwargs):

@@ -1,4 +1,5 @@
-"""The comparison, power-iteration, fuzzify and extent kernels at large n.
+"""The comparison, power-iteration, fuzzify and extent kernels, and the
+built-in loop oracle, at large n.
 
 The acceptance oracle check stops at six criteria; these cover the sizes
 wide inputs reach, with distinct means and with heavily tied ones.
@@ -8,7 +9,14 @@ import numpy as np
 import pytest
 
 import oracle
-from fahp import build_comparison, fuzzify, lambda_max, synthetic_extents, weights
+from fahp import (
+    build_comparison,
+    fuzzify,
+    lambda_max,
+    reference_weights,
+    synthetic_extents,
+    weights,
+)
 
 
 def draw_means(seed, n, tied):
@@ -34,5 +42,8 @@ def test_mean_gap_matrix_and_weights_match_the_oracle(n, tied):
         assert lambda_max(comparison) == pytest.approx(eigenvalue, rel=1e-12)
 
         library = weights(synthetic_extents(fuzzify(comparison))).weights
-        reference = oracle.weights_from_crisp(expected)
-        assert np.max(np.abs(library - np.array(reference))) <= 1e-10
+        reference = np.array(oracle.weights_from_crisp(expected))
+        assert np.max(np.abs(library - reference)) <= 1e-10
+        # the oracle behind the report's mse, on the same matrix
+        built_in = np.array(reference_weights(expected))
+        assert np.max(np.abs(built_in - reference)) <= 1e-10

@@ -1,11 +1,18 @@
-"""The built-in oracle: one sequence per criterion column in, fsum folds out."""
+"""The built-in oracle: one sequence per criterion column in, fsum folds out;
+its weight chain against the plain per-entry loop; its imports."""
 
+import ast
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fahp import reference_scores, reference_weights
+import oracle
+from conftest import REPO_ROOT
+from fahp import NonScaleEntry, ScaleTable, Tfn, fuzzify, reference_scores, reference_weights
 
 # mild preferences, so every criterion keeps a non-zero weight
 ENTRIES = [[1.0, 2.0, 3.0], [0.5, 1.0, 2.0], [1.0 / 3.0, 0.5, 1.0]]
@@ -26,3 +33,202 @@ def test_scores_fold_each_column(aggregate):
     # the pipeline hands over read-only column views of the rating matrix
     views = [memoryview(column) for column in values.T]
     assert reference_scores(views, ENTRIES, aggregate=aggregate) == scores
+
+
+def loop_lookup(value, table, i, j):
+    if value >= 1.0:
+        k = int(round(value))
+        if 1 <= k <= len(table) and abs(value - k) <= 1e-9:
+            return table.real(k).as_tuple()
+        raise NonScaleEntry(i, j, value)
+    if value > 0.0:
+        k = int(round(1.0 / value))
+        if 1 <= k <= len(table) and abs(value - 1.0 / k) <= 1e-9:
+            return table.inverse(k).as_tuple()
+    raise NonScaleEntry(i, j, value)
+
+
+def loop_reference_weights(comparison_entries, table):
+    """The weight chain as a plain loop: one table lookup per entry, the
+    full fuzzy matrix kept, every pair visited in the degree loop."""
+    n = len(comparison_entries)
+
+    fuzzy = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if i == j:
+                row.append((1.0, 1.0, 1.0))
+            else:
+                row.append(loop_lookup(float(comparison_entries[i][j]), table, i, j))
+        fuzzy.append(row)
+
+    row_sums = []
+    for i in range(n):
+        l = math.fsum(fuzzy[i][j][0] for j in range(n))
+        m = math.fsum(fuzzy[i][j][1] for j in range(n))
+        u = math.fsum(fuzzy[i][j][2] for j in range(n))
+        row_sums.append((l, m, u))
+    total_l = math.fsum(r[0] for r in row_sums)
+    total_m = math.fsum(r[1] for r in row_sums)
+    total_u = math.fsum(r[2] for r in row_sums)
+    extents = [(r[0] / total_u, r[1] / total_m, r[2] / total_l) for r in row_sums]
+
+    degrees = []
+    for i in range(n):
+        best = 1.0
+        for k in range(n):
+            if k == i:
+                continue
+            s_i, s_k = extents[i], extents[k]
+            if s_i[1] >= s_k[1]:
+                v = 1.0
+            elif s_k[0] >= s_i[2]:
+                v = 0.0
+            else:
+                v = (s_k[0] - s_i[2]) / ((s_i[1] - s_i[2]) - (s_k[1] - s_k[0]))
+            if v < best:
+                best = v
+        degrees.append(best)
+
+    total = math.fsum(degrees)
+    return [d / total for d in degrees]
+
+
+def spread_table(size, spread):
+    """A scale of `size` intensities with (k - spread, k, k + spread) rows."""
+    rows = [(Tfn(1.0, 1.0, 1.0), Tfn(1.0, 1.0, 1.0))]
+    for k in range(2, size + 1):
+        l, m, u = k - spread, float(k), k + spread
+        rows.append((Tfn(l, m, u), Tfn(1.0 / u, 1.0 / m, 1.0 / l)))
+    return ScaleTable(rows=tuple(rows))
+
+
+# entries the scale never matches, and entries 1e-10 either side of a match
+OFF_SCALE = [2.5, 0.4, 10.0, 0.1, 0.0, -0.0, -3.0, float("nan"), 9.0 + 2e-9, 1 / 3 - 2e-9]
+NEAR = [3.0 + 1e-10, 3.0 - 1e-10, 0.5 + 1e-10, 0.5 - 1e-10, 1 / 9 + 1e-10, 9.0 - 1e-10]
+
+
+@st.composite
+def saaty_matrices(draw):
+    n = draw(st.integers(2, 60))
+    # the cells come from a seeded generator: hypothesis draws per cell
+    # would cost more than both oracles together
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # mean-gap matrices; a small pool of means ties many criteria
+        pool = rng.uniform(0.0, 4.0, size=draw(st.integers(1, n)))
+        entries = oracle.mean_gap(rng.choice(pool, size=n).tolist())
+    else:
+        entries = [[1.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                k = int(rng.integers(1, 10))
+                entries[i][j], entries[j][i] = float(k), 1.0 / k
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        entries[i][j] = draw(st.sampled_from(OFF_SCALE + NEAR))
+    if draw(st.booleans()):
+        entries = np.array(entries)
+    return entries
+
+
+TABLES = [None, spread_table(9, 0.5), spread_table(5, 0.25)]
+
+
+@given(entries=saaty_matrices(), table=st.sampled_from(TABLES))
+@settings(max_examples=300, deadline=None)
+def test_weights_match_the_per_entry_loop(entries, table):
+    try:
+        expected = loop_reference_weights(entries, table or ScaleTable.default())
+    except NonScaleEntry as err:
+        with pytest.raises(NonScaleEntry) as got:
+            reference_weights(entries, table)
+        assert (got.value.i, got.value.j) == (err.i, err.j)
+        assert np.float64(got.value.value).tobytes() == np.float64(err.value).tobytes()
+        return
+    weights = reference_weights(entries, table)
+    assert np.array(weights).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize(
+    "value", [float("inf"), -float("inf"), 1e-320, 5e-324], ids=["inf", "-inf", "1e-320", "5e-324"]
+)
+def test_infinite_entry_or_reciprocal_is_off_scale(value):
+    entries = [[1.0, 2.0, 3.0], [0.5, 1.0, value], [1 / 3, 2.0, 1.0]]
+    with pytest.raises(NonScaleEntry) as err:
+        reference_weights(entries)
+    assert (err.value.i, err.value.j, err.value.value) == (1, 2, value)
+    # the library path names the same entry
+    with pytest.raises(NonScaleEntry) as lib:
+        fuzzify(SimpleNamespace(entries=np.array(entries)))
+    assert (lib.value.i, lib.value.j, lib.value.value) == (1, 2, value)
+
+
+def test_first_off_scale_entry_is_named_after_earlier_matches():
+    # 2.5 is met first at (0, 2); the earlier 2.0 was matched and remembered
+    entries = [[1.0, 2.0, 2.5], [0.5, 1.0, 2.5], [0.4, 0.4, 1.0]]
+    with pytest.raises(NonScaleEntry) as err:
+        reference_weights(entries)
+    assert (err.value.i, err.value.j, err.value.value) == (0, 2, 2.5)
+
+
+def test_diagonal_is_never_looked_up():
+    entries = [[float("nan"), 2.0], [0.5, 0.0]]
+    assert reference_weights(entries) == reference_weights([[1.0, 2.0], [0.5, 1.0]])
+
+
+# the second oracle recomputes the weights without the library's kernels;
+# the scale table is shared as data only
+FORBIDDEN_MODULES = ("numpy", "fahp.extent", "fahp.consistency", "fahp.pipeline")
+TFN_DATA_NAMES = {"ScaleTable", "default_scale_table"}
+
+
+def _imported(tree):
+    """(module, name) for every import in the tree; name is None for a
+    plain `import module`. Relative imports resolve inside `fahp`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = ".".join(filter(None, ["fahp", module]))
+            for alias in node.names:
+                yield module, alias.name
+
+
+def _violations(source):
+    found = []
+    for module, name in _imported(ast.parse(source)):
+        for full in (module, f"{module}.{name}" if name else module):
+            if any(full == bad or full.startswith(bad + ".") for bad in FORBIDDEN_MODULES):
+                found.append(full)
+                break
+        else:
+            if module == "fahp.tfn" and name not in TFN_DATA_NAMES:
+                found.append(f"{module}.{name}")
+    return found
+
+
+def test_reference_imports_no_kernel_code():
+    source = (REPO_ROOT / "src" / "fahp" / "reference.py").read_text(encoding="utf-8")
+    assert _violations(source) == []
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "import numpy as np",
+        "from numpy import asarray",
+        "import numpy.linalg",
+        "from .extent import weights",
+        "from . import consistency",
+        "from fahp.pipeline import run",
+        "import fahp.extent",
+        "from .tfn import fuzzify",
+    ],
+)
+def test_import_guard_catches(line):
+    assert _violations(line + "\n") != []
