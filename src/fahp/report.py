@@ -82,8 +82,12 @@ def render_ranking_csv(report: RankingReport, report_scale: float = 1.0) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _needs_quotes(text: str) -> bool:
+    return "," in text or '"' in text or "\n" in text or "\r" in text
+
+
 def _csv_field(text: str) -> str:
-    if "," in text or '"' in text or "\n" in text or "\r" in text:
+    if _needs_quotes(text):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -140,17 +144,32 @@ def render_matrix_csv(
 ) -> str:
     """Generic matrix dump; floats use shortest round-trip formatting.
 
-    Each distinct value of a block of rows is formatted once. Values are
-    told apart by bit pattern, so -0.0 and 0.0 keep their own text.
+    Each distinct value is formatted once per block of rows, and a value
+    the block before also held takes that block's text. Values are told
+    apart by bit pattern, so -0.0 and 0.0 keep their own text.
     """
     values = np.asarray(values, dtype=float)
-    labels = [_csv_field(label) for label in row_labels]
+    if len(row_labels) != len(values):
+        raise ValueError(f"{len(row_labels)} row labels for {len(values)} rows")
+    labels = row_labels
+    if _needs_quotes("".join(row_labels)):
+        labels = [_csv_field(label) for label in row_labels]
     parts = [",".join(map(_csv_field, header)), "\n"]
+    # the previous block's distinct keys, sorted, and their texts
+    known = np.empty(0, dtype=np.uint64)
+    known_texts = np.empty(0, dtype=object)
     for start in range(0, len(values), _BLOCK_ROWS):
         block = values[start : start + _BLOCK_ROWS]
         keys = block.view(np.uint64).ravel()
         distinct, inverse = np.unique(keys, return_inverse=True)
-        texts = np.array([*map(repr, distinct.view(float).tolist())], dtype=object)
+        if len(known):
+            at = np.minimum(np.searchsorted(known, distinct), len(known) - 1)
+            texts = known_texts[at]
+            miss = np.flatnonzero(known[at] != distinct)
+            texts[miss] = [*map(repr, distinct[miss].view(float).tolist())]
+        else:
+            texts = np.array([*map(repr, distinct.view(float).tolist())], dtype=object)
+        known, known_texts = distinct, texts
         columns = texts[inverse].reshape(block.shape).T.tolist()
         rows = zip(labels[start : start + _BLOCK_ROWS], *columns)
         parts += ["\n".join(map(",".join, rows)), "\n"]

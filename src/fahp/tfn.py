@@ -10,7 +10,6 @@ always the reciprocal (1/u, 1/m, 1/l) of the direct row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
@@ -45,19 +44,20 @@ class Tfn:
         return (self.l, self.m, self.u)
 
 
-# Direct-group rows as exact fractions, intensity 1..9 in order. Inverse rows
-# are always derived as (1/u, 1/m, 1/l) so the two groups stay mutually
-# reciprocal; no inverse row is stored independently.
+# Direct-group rows as (numerator, denominator) pairs, intensity 1..9 in
+# order; int / int is correctly rounded, so each bound is the float nearest
+# its fraction. Inverse rows are always derived as (1/u, 1/m, 1/l) so the
+# two groups stay mutually reciprocal; no inverse row is stored on its own.
 _DIRECT_ROWS = (
-    ("1", "1", "1"),
-    ("1/2", "3/4", "1"),
-    ("2/3", "1", "3/2"),
-    ("1", "3/2", "2"),
-    ("3/2", "2", "5/2"),
-    ("2", "5/2", "3"),
-    ("5/2", "3", "7/2"),
-    ("3", "7/2", "4"),
-    ("7/2", "4", "9/2"),
+    ((1, 1), (1, 1), (1, 1)),
+    ((1, 2), (3, 4), (1, 1)),
+    ((2, 3), (1, 1), (3, 2)),
+    ((1, 1), (3, 2), (2, 1)),
+    ((3, 2), (2, 1), (5, 2)),
+    ((2, 1), (5, 2), (3, 1)),
+    ((5, 2), (3, 1), (7, 2)),
+    ((3, 1), (7, 2), (4, 1)),
+    ((7, 2), (4, 1), (9, 2)),
 )
 
 
@@ -66,7 +66,7 @@ class ScaleTable:
     """Intensity (1..len) to (direct TFN, inverse TFN) lookup.
 
     The table is plain data so alternative fuzzifications of the Saaty
-    scale can be swapped in; the default is built from exact fractions.
+    scale can be swapped in; the default divides the pairs of `_DIRECT_ROWS`.
     """
 
     rows: tuple[tuple[Tfn, Tfn], ...]
@@ -118,9 +118,8 @@ class ScaleTable:
     def default(cls) -> "ScaleTable":
         rows = []
         for l, m, u in _DIRECT_ROWS:
-            fl, fm, fu = Fraction(l), Fraction(m), Fraction(u)
-            real = Tfn(float(fl), float(fm), float(fu))
-            inverse = Tfn(float(1 / fu), float(1 / fm), float(1 / fl))
+            real = Tfn(l[0] / l[1], m[0] / m[1], u[0] / u[1])
+            inverse = Tfn(u[1] / u[0], m[1] / m[0], l[1] / l[0])
             rows.append((real, inverse))
         return cls(rows=tuple(rows))
 

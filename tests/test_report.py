@@ -2,6 +2,7 @@
 
 import csv
 import io
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -29,6 +30,19 @@ def oracle_matrix_csv(header, row_labels, values):
     for label, row in zip(row_labels, values):
         lines.append(",".join([_csv_field(label), *map(repr, row.tolist())]))
     return "\n".join(lines) + "\n"
+
+
+@contextmanager
+def counted_repr():
+    """Patch the repr that report calls; yield the values it is called on."""
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return repr(value)
+
+    with mock.patch.object(report, "repr", counting_repr, create=True):
+        yield calls
 
 
 @st.composite
@@ -86,6 +100,55 @@ class TestRenderMatrixCsv:
         values = np.array([[0.0, -0.0], [-0.0, 0.0]])
         text = render_matrix_csv(["id", "a", "b"], ["u1", "u2"], values)
         assert text == "id,a,b\nu1,0.0,-0.0\nu2,-0.0,0.0\n"
+
+    @pytest.mark.parametrize("first, second", [(-0.0, 0.0), (0.0, -0.0)])
+    def test_signed_zeros_in_consecutive_blocks_keep_their_text(self, first, second):
+        values = np.array([[first], [1.0], [second], [1.0]])
+        with mock.patch.object(report, "_BLOCK_ROWS", 2):
+            text = render_matrix_csv(["id", "a"], ["u1", "u2", "u3", "u4"], values)
+        assert text == f"id,a\nu1,{first!r}\nu2,1.0\nu3,{second!r}\nu4,1.0\n"
+
+    def test_values_repeated_in_every_block_are_formatted_once(self):
+        pool = np.array([0.1 + 0.2, -0.0, 0.0, 1 / 7, 5e-324])
+        values = pool[np.arange(40 * 3).reshape(40, 3) % len(pool)]
+        labels = [f"u{i}" for i in range(40)]
+        with mock.patch.object(report, "_BLOCK_ROWS", 4), counted_repr() as calls:
+            text = render_matrix_csv(["id", "a", "b", "c"], labels, values)
+        assert text == oracle_matrix_csv(["id", "a", "b", "c"], labels, values)
+        assert len(calls) == len(pool)
+
+    def test_block_sharing_no_value_with_the_one_before(self):
+        # the second block's values all sort below, between and above the
+        # first's; the third repeats the first, whose texts are gone by then
+        values = np.array([[2.0, 4.0], [4.0, 2.0], [1.0, 3.0], [5.0, 3.0],
+                           [2.0, 4.0], [4.0, 4.0]])
+        labels = [f"u{i}" for i in range(6)]
+        with mock.patch.object(report, "_BLOCK_ROWS", 2), counted_repr() as calls:
+            text = render_matrix_csv(["id", "a", "b"], labels, values)
+        assert text == oracle_matrix_csv(["id", "a", "b"], labels, values)
+        assert calls == [2.0, 4.0, 1.0, 3.0, 5.0, 2.0, 4.0]
+
+    def test_label_needing_quotes_only_in_the_last_block(self):
+        labels = ["u1", "u2", "u3", "u4", 'u,"5"']
+        values = np.arange(5.0).reshape(5, 1)
+        with mock.patch.object(report, "_BLOCK_ROWS", 2):
+            text = render_matrix_csv(["id", "a"], labels, values)
+        assert text == oracle_matrix_csv(["id", "a"], labels, values)
+        records = list(csv.reader(io.StringIO(text)))
+        assert [record[0] for record in records[1:]] == labels
+
+    def test_zero_columns_over_several_blocks(self):
+        values = np.empty((5, 0))
+        labels = ["u1", "u2", "u3", "u4", "u5"]
+        with mock.patch.object(report, "_BLOCK_ROWS", 2):
+            text = render_matrix_csv(["id"], labels, values)
+        assert text == "id\nu1\nu2\nu3\nu4\nu5\n"
+
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_label_count_must_match_the_rows(self, count):
+        labels = [f"u{i}" for i in range(count)]
+        with pytest.raises(ValueError, match=f"{count} row labels for 3 rows"):
+            render_matrix_csv(["id", "a"], labels, np.ones((3, 1)))
 
 
 class TestCsvField:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from fahp import (
     ComparisonMatrix,
     FuzzyComparisonMatrix,
@@ -64,6 +65,15 @@ class TestScaleTable:
             assert abs(inverse.l - expected.l) <= 1e-15, k
             assert abs(inverse.m - expected.m) <= 1e-15, k
             assert abs(inverse.u - expected.u) <= 1e-15, k
+
+    def test_every_bound_is_the_float_of_the_exact_fraction(self):
+        # the default table divides small integers; the oracle's scale is
+        # Fraction, and both must give the same 54 floats
+        table = default_scale_table()
+        assert len(table) == len(oracle.SCALE)
+        for k, real, inverse in table:
+            assert real.as_tuple() == oracle.scale_real(k), k
+            assert inverse.as_tuple() == oracle.scale_inverse(k), k
 
     def test_unknown_intensity(self):
         table = default_scale_table()
