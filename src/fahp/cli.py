@@ -10,17 +10,24 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .errors import (
     FahpError,
     GateRejected,
     PipelineError,
     ScaledScoreOverflow,
-    UnknownStage,
     UnwritableOutput,
 )
-from .pipeline import MODES, RunConfig, run, run_to_consistency, run_to_extents
+from .pipeline import (
+    MODES,
+    RunConfig,
+    run,
+    run_to_comparison,
+    run_to_consistency,
+    run_to_extents,
+)
+from .ranking import AGGREGATES
 from .report import (
     render_fuzzy_json,
     render_json,
@@ -45,51 +52,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", required=True, help="ratings CSV path")
     parser.add_argument(
         "--schema",
+        default=RunConfig.schema,
         help="JSON schema override mapping CSV columns to criterion labels",
     )
     parser.add_argument(
         "--ir-mode",
         choices=MODES,
-        default="standard",
+        default=RunConfig.ir_mode,
         help="random-index source: Saaty table, or the compatibility "
         "constant 180 with a forced principal value of 1",
     )
     parser.add_argument(
         "--derivation",
-        default="mean_gap",
-        help="comparison-derivation rule name: mean_gap or uniform (a "
-        "custom rule exists only for library callers of "
-        "register_derivation_rule)",
-    )
-    parser.add_argument(
-        "--aggregate",
-        choices=("mean", "sum"),
-        default="mean",
-        help="column fold used by the scoring stage",
-    )
-    parser.add_argument(
-        "--report-scale",
-        type=float,
-        default=1.0,
-        help="factor applied to reported scores (report only, default 1)",
-    )
-    parser.add_argument("--out-json", help="write the full report as JSON")
-    parser.add_argument("--out-csv", help="write the ranking rows as CSV")
-    parser.add_argument("--out-svg", help="write a bar chart of the scores")
-    parser.add_argument(
-        "--mse-tol",
-        type=float,
-        default=1e-3,
-        help="validation tolerance for the pipeline-vs-reference MSE",
-    )
-    parser.add_argument(
-        "--force",
-        action="store_true",
-        help="continue past a failed consistency gate",
+        default=RunConfig.derivation,
+        help="comparison-derivation rule name: mean_gap or uniform",
     )
 
 
@@ -100,17 +80,45 @@ def build_parser() -> argparse.ArgumentParser:
     rank_cmd = commands.add_parser(
         "rank", help="run the full pipeline and emit the ranking report"
     )
-    _add_common_flags(rank_cmd)
+    _add_input_flags(rank_cmd)
+    rank_cmd.add_argument(
+        "--aggregate",
+        choices=AGGREGATES,
+        default=RunConfig.aggregate,
+        help="column fold used by the scoring stage",
+    )
+    rank_cmd.add_argument(
+        "--report-scale",
+        type=float,
+        default=RunConfig.report_scale,
+        help="factor applied to reported scores (report only, default "
+        "%(default)g)",
+    )
+    rank_cmd.add_argument("--out-json", help="write the full report as JSON")
+    rank_cmd.add_argument("--out-csv", help="write the ranking rows as CSV")
+    rank_cmd.add_argument("--out-svg", help="write a bar chart of the scores")
+    rank_cmd.add_argument(
+        "--mse-tol",
+        type=float,
+        default=RunConfig.mse_tol,
+        help="validation tolerance for the pipeline-vs-reference MSE",
+    )
+    rank_cmd.add_argument(
+        "--force",
+        action="store_true",
+        default=RunConfig.force,
+        help="continue past a failed consistency gate",
+    )
 
     check_cmd = commands.add_parser(
         "check", help="run through the consistency stage and print the report"
     )
-    _add_common_flags(check_cmd)
+    _add_input_flags(check_cmd)
 
     dump_cmd = commands.add_parser(
         "dump", help="write one intermediate stage artifact"
     )
-    _add_common_flags(dump_cmd)
+    _add_input_flags(dump_cmd)
     dump_cmd.add_argument(
         "--dump",
         required=True,
@@ -118,24 +126,19 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="STAGE",
         help=f"stage to dump: one of {', '.join(DUMP_STAGES)}",
     )
+    dump_cmd.add_argument(
+        "--out-json", help="write the fuzzy dump as JSON instead of to stdout"
+    )
+    dump_cmd.add_argument(
+        "--out-csv", help="write any other dump as CSV instead of to stdout"
+    )
 
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        input=args.input,
-        schema=args.schema,
-        ir_mode=args.ir_mode,
-        derivation=args.derivation,
-        aggregate=args.aggregate,
-        report_scale=args.report_scale,
-        out_json=args.out_json,
-        out_csv=args.out_csv,
-        out_svg=args.out_svg,
-        mse_tol=args.mse_tol,
-        force=args.force,
-    )
+    names = {f.name for f in fields(RunConfig)}
+    return RunConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def _write_output(path: str, text: str) -> None:
@@ -189,25 +192,19 @@ def cmd_check(config: RunConfig) -> int:
 
 
 def cmd_dump(config: RunConfig, stage: str) -> int:
-    if stage not in DUMP_STAGES:
-        raise UnknownStage(stage)
     if stage in ("normalized", "comparison"):
-        result = run_to_consistency(config)
+        result = run_to_comparison(config)
+        matrix = result.matrix
         if stage == "normalized":
-            norm = result.normalized
-            # keep the original header when the source columns are known
-            if norm.source_columns:
-                header = [result.matrix.id_column, *norm.source_columns]
-            else:
-                header = ["row", *norm.criteria]
-            row_labels = norm.row_ids or tuple(
-                str(i + 1) for i in range(norm.shape[0])
+            text = render_matrix_csv(
+                [matrix.id_column, *matrix.source_columns],
+                matrix.row_ids,
+                result.normalized.values,
             )
-            text = render_matrix_csv(header, row_labels, norm.values)
         else:
             text = render_matrix_csv(
-                ["criterion", *result.matrix.criteria],
-                result.matrix.criteria,
+                ["criterion", *matrix.criteria],
+                matrix.criteria,
                 result.comparison.entries,
             )
         out_path = config.out_csv
@@ -254,9 +251,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_GATE_REJECTED
     except PipelineError as exc:
         print(f"fahp: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except FileNotFoundError as exc:
-        print(f"fahp: input: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except FahpError as exc:
         print(f"fahp: {exc}", file=sys.stderr)

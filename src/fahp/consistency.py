@@ -98,11 +98,6 @@ DERIVATION_RULES: dict[str, DerivationRule] = {
 }
 
 
-def register_derivation_rule(name: str, rule: DerivationRule) -> None:
-    """Expose a custom comparison-derivation rule under a CLI-visible name."""
-    DERIVATION_RULES[name] = rule
-
-
 def build_comparison(means: Sequence[float], rule: str | DerivationRule = "mean_gap") -> ComparisonMatrix:
     """Derive the criteria comparison matrix from per-criterion means."""
     mu = np.asarray(means, dtype=float)
@@ -153,11 +148,7 @@ def consistency_index(t: float, n: int) -> float:
     return (t - n) / (n - 1)
 
 
-def random_index(
-    n: int,
-    mode: str = "standard",
-    table: Sequence[float] = SAATY_RANDOM_INDEX,
-) -> float:
+def random_index(n: int, mode: str = "standard") -> float:
     """Expected consistency index of random reciprocal matrices of order n."""
     if n < 1:
         raise ValueError(f"order must be at least 1, got {n}")
@@ -165,9 +156,9 @@ def random_index(
         return PAPER_COMPAT_RANDOM_INDEX
     if mode != "standard":
         raise ValueError(f"mode must be 'standard' or 'paper_compat', got {mode!r}")
-    if n > len(table):
-        raise UnsupportedOrder(n, len(table))
-    return float(table[n - 1])
+    if n > len(SAATY_RANDOM_INDEX):
+        raise UnsupportedOrder(n, len(SAATY_RANDOM_INDEX))
+    return float(SAATY_RANDOM_INDEX[n - 1])
 
 
 def consistency_ratio(ci: float, ir: float) -> float:
@@ -212,7 +203,6 @@ def check(
     c: ComparisonMatrix,
     ir_mode: str = "standard",
     force_lambda_max: float | None = None,
-    ir_table: Sequence[float] = SAATY_RANDOM_INDEX,
 ) -> ConsistencyReport:
     """Compose lambda_max -> CI -> IR -> CR and apply the 0.1 gate.
 
@@ -228,7 +218,7 @@ def check(
     else:
         t = lambda_max(c)
     ci = consistency_index(t, c.n)
-    ir = random_index(c.n, mode=ir_mode, table=ir_table)
+    ir = random_index(c.n, mode=ir_mode)
     cr = consistency_ratio(ci, ir)
     if cr < 0.0:
         warnings.append(

@@ -140,12 +140,6 @@ class EmptyInput(FahpError):
     pass
 
 
-class UnknownStage(FahpError):
-    def __init__(self, stage: str):
-        self.stage = stage
-        super().__init__(f"unknown dump stage {stage!r}")
-
-
 class ScaledScoreOverflow(FahpError):
     def __init__(self, label: str, scale: float):
         self.label = label

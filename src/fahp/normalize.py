@@ -18,8 +18,6 @@ class NormalizedMatrix:
     values: np.ndarray
     criteria: tuple[str, ...]
     column_max_used: np.ndarray
-    row_ids: tuple[str, ...] = ()
-    source_columns: tuple[str, ...] = ()
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
@@ -39,8 +37,6 @@ class NormalizedMatrix:
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "column_max_used", maxima)
         object.__setattr__(self, "criteria", tuple(self.criteria))
-        object.__setattr__(self, "row_ids", tuple(self.row_ids))
-        object.__setattr__(self, "source_columns", tuple(self.source_columns))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -69,6 +65,4 @@ def normalize(m) -> NormalizedMatrix:
         values=values,
         criteria=tuple(m.criteria),
         column_max_used=col_max,
-        row_ids=tuple(getattr(m, "row_ids", ())),
-        source_columns=tuple(getattr(m, "source_columns", ())),
     )

@@ -9,7 +9,7 @@ GateRejected unless the config forces continuation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -39,7 +39,11 @@ MODES = ("standard", "paper_compat")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run depends on; echoed into the report for round-trips."""
+    """Everything a run depends on; echoed into the report for round-trips.
+
+    The fields are the one definition of each run option's name and
+    default: the command-line flags take their defaults from them.
+    """
 
     input: str
     schema: str | None = None
@@ -62,31 +66,14 @@ class RunConfig:
             raise ValueError("mse_tol must be finite and positive")
 
     def echo(self) -> dict:
-        """Report-facing view; output paths are omitted on purpose so the
-        report bytes never depend on where they are written."""
+        """Report-facing view, so `RunConfig(**echo)` rebuilds the run;
+        output paths are omitted on purpose so the report bytes never
+        depend on where they are written."""
         return {
-            "input": self.input,
-            "schema": self.schema,
-            "ir_mode": self.ir_mode,
-            "derivation": self.derivation,
-            "aggregate": self.aggregate,
-            "report_scale": self.report_scale,
-            "mse_tol": self.mse_tol,
-            "force": self.force,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if not f.name.startswith("out_")
         }
-
-    @classmethod
-    def from_echo(cls, doc: dict) -> "RunConfig":
-        return cls(
-            input=doc["input"],
-            schema=doc.get("schema"),
-            ir_mode=doc.get("ir_mode", "standard"),
-            derivation=doc.get("derivation", "mean_gap"),
-            aggregate=doc.get("aggregate", "mean"),
-            report_scale=float(doc.get("report_scale", 1.0)),
-            mse_tol=float(doc.get("mse_tol", 1e-3)),
-            force=bool(doc.get("force", False)),
-        )
 
 
 @dataclass(frozen=True)
@@ -98,7 +85,7 @@ class PipelineResult:
     normalized: NormalizedMatrix
     means: np.ndarray
     comparison: ComparisonMatrix
-    consistency: ConsistencyReport
+    consistency: ConsistencyReport | None = None
     fuzzy: FuzzyComparisonMatrix | None = None
     extents: np.ndarray | None = None
     weight_vector: WeightVector | None = None
@@ -129,8 +116,8 @@ def _load_schema(config: RunConfig) -> DatasetSchema:
     return DatasetSchema.from_json(config.schema)
 
 
-def run_to_consistency(config: RunConfig) -> PipelineResult:
-    """Run ingest through the consistency check, no gate applied."""
+def run_to_comparison(config: RunConfig) -> PipelineResult:
+    """Run ingest through the comparison matrix."""
     with _stage("ingest"):
         schema = _load_schema(config)
         matrix = load_csv(config.input, schema)
@@ -139,17 +126,24 @@ def run_to_consistency(config: RunConfig) -> PipelineResult:
     with _stage("comparison"):
         means = column_means(matrix)
         comparison = build_comparison(means, rule=config.derivation)
-    with _stage("consistency"):
-        forced = 1.0 if config.ir_mode == "paper_compat" else None
-        report = check(comparison, ir_mode=config.ir_mode, force_lambda_max=forced)
     return PipelineResult(
         config=config,
         matrix=matrix,
         normalized=normalized,
         means=means,
         comparison=comparison,
-        consistency=report,
     )
+
+
+def run_to_consistency(config: RunConfig) -> PipelineResult:
+    """Run ingest through the consistency check, no gate applied."""
+    partial = run_to_comparison(config)
+    with _stage("consistency"):
+        forced = 1.0 if config.ir_mode == "paper_compat" else None
+        report = check(
+            partial.comparison, ir_mode=config.ir_mode, force_lambda_max=forced
+        )
+    return replace(partial, consistency=report)
 
 
 def run_to_extents(config: RunConfig) -> PipelineResult:

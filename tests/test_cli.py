@@ -15,7 +15,6 @@ from fahp import (
     RunConfig,
     load_csv,
     normalize,
-    register_derivation_rule,
     run,
 )
 from fahp import cli, pipeline
@@ -60,7 +59,7 @@ def trio_inputs(tmp_path):
 
 
 @pytest.fixture
-def cyclic_rule():
+def cyclic_rule(monkeypatch):
     # a 3-cycle of strong preferences is wildly inconsistent for n >= 3,
     # so this rule makes the consistency gate reject on demand
     def rule(means):
@@ -75,9 +74,8 @@ def cyclic_rule():
                     entries[i, j] = 1.0 / 9.0
         return entries
 
-    register_derivation_rule("cyclic_test", rule)
-    yield "cyclic_test"
-    DERIVATION_RULES.pop("cyclic_test", None)
+    monkeypatch.setitem(DERIVATION_RULES, "cyclic_test", rule)
+    return "cyclic_test"
 
 
 class TestRank:
@@ -185,11 +183,10 @@ class TestRank:
         )
         text = out_json.read_text(encoding="utf-8")
         echo = json.loads(text)["config_echo"]
-        config = RunConfig.from_echo(echo)
+        config = RunConfig(**echo)
+        assert config.echo() == echo
         result = run(config)
         assert render_json(result.report, config.echo(), config.report_scale) == text
-        # reports written before --scale-mode was removed still read back
-        assert RunConfig.from_echo({**echo, "scale_mode": "paper_compat"}) == config
 
     def test_stdout_scores_use_report_scale(self, small_inputs, capsys):
         csv_path, schema_path = small_inputs
@@ -286,7 +283,25 @@ class TestInputErrors:
     def test_missing_input_file(self, capsys):
         code = main(["rank", "--input", "/no/such/file.csv"])
         assert code == EXIT_INPUT_ERROR
-        assert "fahp:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("fahp: ingest: ")
+        assert "No such file or directory" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["rank", "check", "dump"])
+    def test_missing_schema_file(self, small_inputs, tmp_path, capsys, command):
+        csv_path, _ = small_inputs
+        missing = tmp_path / "no_schema.json"
+        extra = ["--dump", "normalized"] if command == "dump" else []
+        code = main(
+            [command, "--input", csv_path, "--schema", str(missing), *extra]
+        )
+        assert code == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("fahp: ingest: ")
+        assert str(missing) in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_missing_required_flag(self, capsys):
         assert main(["rank"]) == EXIT_INPUT_ERROR
@@ -610,6 +625,82 @@ class TestDump:
         code = main(["dump", "--input", csv_path, "--schema", schema_path])
         assert code == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("stage", ["normalized", "comparison"])
+    def test_no_gate_before_matrix_dumps(self, tmp_path, capsys, stage):
+        # standard mode has no random index past 10 criteria; these dumps
+        # stop before the gate, so the random-index source cannot matter
+        columns = [f"c{j}" for j in range(12)]
+        rows = [
+            ",".join([f"u{i}", *(str((i * 7 + j * 3) % 9 * 0.5) for j in range(12))])
+            for i in range(5)
+        ]
+        csv_path = tmp_path / "twelve.csv"
+        csv_path.write_text(
+            "\n".join([",".join(["ID", *columns]), *rows]) + "\n", encoding="utf-8"
+        )
+        schema_path = tmp_path / "twelve_schema.json"
+        labels = {c: c.upper() for c in columns}
+        schema_path.write_text(
+            json.dumps({"id_column": "ID", "criteria_columns": labels}),
+            encoding="utf-8",
+        )
+        argv = ["dump", "--input", str(csv_path), "--schema", str(schema_path)]
+        outputs = []
+        for mode in ("standard", "paper_compat"):
+            assert main([*argv, "--dump", stage, "--ir-mode", mode]) == EXIT_OK
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == (6 if stage == "normalized" else 13)
+
+
+# (command, flags it never reads): each is a usage error, not ignored
+UNREAD_FLAGS = [
+    ("check", ["--out-json", "x.json"]),
+    ("check", ["--out-csv", "x.csv"]),
+    ("check", ["--out-svg", "x.svg"]),
+    ("check", ["--force"]),
+    ("check", ["--aggregate", "sum"]),
+    ("check", ["--report-scale", "2"]),
+    ("check", ["--mse-tol", "0.1"]),
+    ("dump", ["--out-svg", "x.svg"]),
+    ("dump", ["--force"]),
+    ("dump", ["--aggregate", "sum"]),
+    ("dump", ["--report-scale", "2"]),
+    ("dump", ["--mse-tol", "0.1"]),
+]
+
+
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize(
+        "command, flags", UNREAD_FLAGS, ids=[f"{c}{f[0]}" for c, f in UNREAD_FLAGS]
+    )
+    def test_unread_flag_is_refused(
+        self, small_inputs, tmp_path, monkeypatch, capsys, command, flags
+    ):
+        csv_path, schema_path = small_inputs
+        monkeypatch.chdir(tmp_path)
+        extra = ["--dump", "normalized"] if command == "dump" else []
+        code = main(
+            [command, "--input", csv_path, "--schema", schema_path, *extra, *flags]
+        )
+        assert code == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
+        assert captured.out == ""
+        assert not any(tmp_path.glob("x.*"))
+
+    @pytest.mark.parametrize(
+        "command, count", [("rank", 11), ("check", 4), ("dump", 7)]
+    )
+    def test_flag_count(self, command, count):
+        commands = next(
+            a for a in cli.build_parser()._actions if a.dest == "command"
+        )
+        parser = commands.choices[command]
+        flags = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+        assert len(flags) == count
 
 
 # (command, extra flags, output flag): every path the CLI writes to

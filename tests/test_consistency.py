@@ -20,9 +20,7 @@ from fahp import (
     consistency_ratio,
     lambda_max,
     random_index,
-    register_derivation_rule,
 )
-from fahp.consistency import DERIVATION_RULES
 
 
 def matrix(rows):
@@ -81,15 +79,6 @@ class TestBuildComparison:
     def test_callable_rule(self):
         c = build_comparison([1.0, 2.0], rule=lambda mu: np.ones((len(mu), len(mu))))
         assert np.array_equal(c.entries, np.ones((2, 2)))
-
-    def test_registered_rule_visible_by_name(self):
-        name = "test_all_equal"
-        register_derivation_rule(name, lambda mu: np.ones((len(mu), len(mu))))
-        try:
-            c = build_comparison([1.0, 2.0, 3.0], rule=name)
-            assert np.array_equal(c.entries, np.ones((3, 3)))
-        finally:
-            DERIVATION_RULES.pop(name, None)
 
     def test_unknown_rule(self):
         with pytest.raises(UnknownDerivationRule):
@@ -178,10 +167,6 @@ class TestIndexAndRatio:
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedOrder):
             random_index(11)
-
-    def test_extended_table(self):
-        table = (0.0, 0.0, 0.58, 0.90, 1.12, 1.24, 1.32, 1.41, 1.45, 1.49, 1.51)
-        assert random_index(11, table=table) == 1.51
 
     def test_order_below_one_rejected(self):
         with pytest.raises(ValueError):

@@ -32,7 +32,6 @@ def test_normalize_keeps_shape_and_labels():
     assert n.shape == m.shape
     assert n.criteria == ("A", "B")
     assert n.column_max_used.tolist() == [3.0, 4.0]
-    assert n.row_ids == m.row_ids
 
 
 def test_idempotence_is_exact():
