@@ -40,10 +40,13 @@ crisp = ComparisonMatrix(
         ]
     )
 )
+# Each fuzzy entry is one row of the scale, held as its code: k - 1 for
+# the direct row of intensity k, 9 + k - 1 for its inverse.
 fuzzy = fuzzify(crisp)
 print("fuzzified entries of row 0")
 for j in range(3):
-    print(f"  values[0, {j}] = {tuple(fuzzy.values[0, j].tolist())}")
+    code = int(fuzzy.codes[0, j])
+    print(f"  codes[0, {j}] = {code:2d}  values[0, {j}] = {tuple(fuzzy.values[0, j].tolist())}")
 print()
 
 # Row sums divided by the component-reversed grand total give one

@@ -10,7 +10,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from .errors import (
     FahpError,
@@ -22,10 +22,10 @@ from .errors import (
 from .pipeline import (
     MODES,
     RunConfig,
+    add_extents,
     run,
     run_to_comparison,
     run_to_consistency,
-    run_to_extents,
 )
 from .ranking import AGGREGATES
 from .report import (
@@ -192,8 +192,10 @@ def cmd_check(config: RunConfig) -> int:
 
 
 def cmd_dump(config: RunConfig, stage: str) -> int:
+    # dumps are for audit and never write the gate's output, so no stage
+    # runs the consistency check
+    result = run_to_comparison(config)
     if stage in ("normalized", "comparison"):
-        result = run_to_comparison(config)
         matrix = result.matrix
         if stage == "normalized":
             text = render_matrix_csv(
@@ -209,8 +211,7 @@ def cmd_dump(config: RunConfig, stage: str) -> int:
             )
         out_path = config.out_csv
     else:
-        # dumps are for audit, so run past a failed gate
-        result = run_to_extents(replace(config, force=True))
+        result = add_extents(result)
         if stage == "fuzzy":
             text = render_fuzzy_json(result.matrix.criteria, result.fuzzy)
             out_path = config.out_json

@@ -23,10 +23,20 @@ def synthetic_extents(f: FuzzyComparisonMatrix) -> np.ndarray:
     S_i = (R_i.l / T.u, R_i.m / T.m, R_i.u / T.l) where R_i is the i-th
     fuzzy row sum and T the sum of all row sums. Crossing the components
     is the TFN reciprocal rule applied to T and keeps l <= m <= u valid.
+
+    The row sums fold the gathered scale rows one column of codes at a
+    time, left to right: the order in which `f.values.sum(axis=1)` adds,
+    so the sums are bit-identical to it without the (n, n, 3) gather.
     """
-    rows = f.values.sum(axis=1)
-    total = rows.sum(axis=0)
-    return rows / total[::-1]
+    table = f.table.row_table
+    columns = f.codes.T.copy()
+    sums = table[columns[0]]
+    gathered = np.empty_like(sums)
+    for column in columns[1:]:
+        table.take(column, axis=0, out=gathered)
+        sums += gathered
+    total = sums.sum(axis=0)
+    return sums / total[::-1]
 
 
 def possibility_matrix(extents: np.ndarray) -> np.ndarray:

@@ -146,6 +146,17 @@ def run_to_consistency(config: RunConfig) -> PipelineResult:
     return replace(partial, consistency=report)
 
 
+def add_extents(partial: PipelineResult) -> PipelineResult:
+    """Fuzzify the comparison matrix and add the synthetic extents; no
+    gate is applied, so the fuzzy and extents dumps call this straight
+    after run_to_comparison."""
+    with _stage("fuzzify"):
+        fuzzy = fuzzify(partial.comparison, default_scale_table())
+    with _stage("extents"):
+        extents = synthetic_extents(fuzzy)
+    return replace(partial, fuzzy=fuzzy, extents=extents)
+
+
 def run_to_extents(config: RunConfig) -> PipelineResult:
     """Run ingest through the synthetic extents; raises GateRejected when
     the consistency ratio exceeds the limit and the config does not force
@@ -153,12 +164,7 @@ def run_to_extents(config: RunConfig) -> PipelineResult:
     partial = run_to_consistency(config)
     if not partial.consistency.accepted and not config.force:
         raise GateRejected(partial.consistency)
-
-    with _stage("fuzzify"):
-        fuzzy = fuzzify(partial.comparison, default_scale_table())
-    with _stage("extents"):
-        extents = synthetic_extents(fuzzy)
-    return replace(partial, fuzzy=fuzzy, extents=extents)
+    return add_extents(partial)
 
 
 def run(config: RunConfig) -> PipelineResult:

@@ -5,11 +5,18 @@ membership rises linearly from 0 at l to 1 at m and falls back to 0 at u.
 The scale table maps each Saaty intensity 1..9 to a TFN pair: the direct
 ("real") group used when a criterion dominates, and the inverse group,
 always the reciprocal (1/u, 1/m, 1/l) of the direct row.
+
+A fuzzified comparison matrix is held as an n x n matrix of scale-row
+codes: code k - 1 is the direct row of intensity k and code size + k - 1
+its inverse row, so every entry is one of the table's 2 * size rows.
+Reciprocity is then an integer identity on the codes, and the (n, n, 3)
+float form is only gathered when something prints it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -18,9 +25,6 @@ from .errors import NonPositiveSupport, NonScaleEntry, UnknownIntensity
 
 # how close a crisp entry must be to an intensity or its reciprocal
 SCALE_MATCH_TOL = 1e-9
-
-# reciprocity slack for fuzzy matrix validation
-RECIPROCITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,9 @@ class ScaleTable:
     def __post_init__(self):
         if not self.rows:
             raise ValueError("scale table has no rows")
+        # the diagonal of every fuzzy matrix is the intensity-1 direct row
+        if self.rows[0][0].as_tuple() != (1.0, 1.0, 1.0):
+            raise ValueError("intensity 1: the direct row must be (1, 1, 1)")
         prev_m = None
         for k, (real, inverse) in enumerate(self.rows, start=1):
             if real.l <= 0 or inverse.l <= 0:
@@ -103,6 +110,37 @@ class ScaleTable:
     def __iter__(self) -> Iterator[tuple[int, Tfn, Tfn]]:
         for k, (real, inverse) in enumerate(self.rows, start=1):
             yield k, real, inverse
+
+    @cached_property
+    def row_table(self) -> np.ndarray:
+        """Read-only (2 * len, 3) array that scale-row codes index: the
+        direct rows of intensity 1..len, then the inverse rows in the
+        same order."""
+        table = np.array(
+            [real.as_tuple() for real, _ in self.rows]
+            + [inverse.as_tuple() for _, inverse in self.rows]
+        )
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def mirror(self) -> np.ndarray:
+        """Read-only map from the code of an entry to the code its
+        transposed entry must have. Direct intensity k >= 2 and its
+        inverse swap. Just-equal is always the direct code 0, its own
+        mirror; the inverse code of intensity 1, never emitted, maps to 0
+        too, so no matrix that holds it passes the check."""
+        size = len(self.rows)
+        codes = np.arange(2 * size, dtype=self.code_dtype)
+        mirror = np.concatenate([codes[size:], codes[:size]])
+        mirror[0] = 0
+        mirror.setflags(write=False)
+        return mirror
+
+    @property
+    def code_dtype(self) -> np.dtype:
+        """Smallest unsigned integer type that holds every row code."""
+        return np.min_scalar_type(2 * len(self.rows) - 1)
 
     def real(self, intensity: int) -> Tfn:
         if not 1 <= intensity <= len(self.rows):
@@ -136,54 +174,65 @@ def default_scale_table() -> ScaleTable:
 
 @dataclass(frozen=True)
 class FuzzyComparisonMatrix:
-    """n x n matrix of TFNs, reciprocal across the diagonal.
+    """n x n matrix of TFNs, reciprocal across the diagonal, held as codes.
 
-    values has shape (n, n, 3), last axis ordered (l, m, u).
+    codes index the rows of table.row_table (see the module docstring).
+    The one check, codes.T == table.mirror[codes] over the whole matrix,
+    also pins every diagonal code to 0, the (1, 1, 1) row, and refuses
+    the inverse code of intensity 1, which fuzzify never emits: 0 is the
+    only code that is its own mirror. ScaleTable holds every row to be a
+    TFN with l > 0 and every inverse row to be the reciprocal of its
+    direct row, so codes that pass give finite, ordered, positive,
+    reciprocal floats. Where two codes share a row the check is stricter
+    than a float one: 3 at both (i, j) and (j, i) is refused, although
+    (2/3, 1, 3/2) is its own reciprocal.
+
+    values, the (n, n, 3) floats with the last axis ordered (l, m, u), is
+    a gather on each access, not stored: only the fuzzy dump and the demos
+    read it, and synthetic_extents folds the codes.
     """
 
-    values: np.ndarray
+    codes: np.ndarray
+    table: ScaleTable
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 3:
-            raise ValueError(f"expected shape (n, n, 3), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("fuzzy matrix entries must be finite")
-        if np.any(arr[:, :, 0] > arr[:, :, 1]) or np.any(arr[:, :, 1] > arr[:, :, 2]):
-            raise ValueError("every entry must satisfy l <= m <= u")
-        if np.any(arr[:, :, 0] <= 0):
-            raise ValueError("entries must be strictly positive TFNs")
-        n = arr.shape[0]
-        diag = arr[np.arange(n), np.arange(n), :]
-        if not np.all(diag == 1.0):
-            raise ValueError("diagonal entries must be exactly (1, 1, 1)")
-        # entries[j][i] must equal the reciprocal of entries[i][j]
-        mirrored = np.stack(
-            [
-                1.0 / arr.transpose(1, 0, 2)[:, :, 2],
-                1.0 / arr.transpose(1, 0, 2)[:, :, 1],
-                1.0 / arr.transpose(1, 0, 2)[:, :, 0],
-            ],
-            axis=2,
-        )
-        if np.max(np.abs(arr - mirrored)) > RECIPROCITY_TOL:
-            raise ValueError("matrix violates TFN reciprocity across the diagonal")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        codes = np.asarray(self.codes)
+        if codes.ndim != 2 or codes.shape[0] != codes.shape[1] or codes.size == 0:
+            raise ValueError(f"expected a non-empty (n, n) code matrix, got {codes.shape}")
+        if codes.dtype.kind not in "iu":
+            raise ValueError(f"codes must be integers, got {codes.dtype}")
+        size = len(self.table)
+        if codes.min() < 0 or codes.max() >= 2 * size:
+            raise ValueError(f"codes must lie in 0..{2 * size - 1}")
+        codes = codes.astype(self.table.code_dtype)
+        mirrored = self.table.mirror[codes]
+        if not np.array_equal(codes.T, mirrored):
+            i, j = np.argwhere(codes.T != mirrored)[0]
+            raise ValueError(
+                f"codes violate reciprocity at ({i}, {j}): code {codes[i, j]} "
+                f"needs {mirrored[i, j]} at ({j}, {i}), found {codes[j, i]}"
+            )
+        codes.setflags(write=False)
+        object.__setattr__(self, "codes", codes)
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.codes.shape[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        """The entries as an (n, n, 3) float array, gathered on each call."""
+        return self.table.row_table[self.codes]
 
 
 def fuzzify(comparison, table: ScaleTable | None = None) -> FuzzyComparisonMatrix:
-    """Replace each crisp comparison entry by its scale-table TFN.
+    """Replace each crisp comparison entry by the code of its scale row.
 
-    Entries at or above 1 use the direct group, entries below 1 the inverse
-    group; the diagonal always maps to (1, 1, 1). Entries that are not a
-    scale intensity or its reciprocal within 1e-9 raise NonScaleEntry,
-    naming the first such entry in row-major order.
+    Entries above 1 use the direct group, entries below 1 the inverse
+    group; 1 itself, its near misses and the diagonal use the direct
+    (1, 1, 1) row. Entries that are not a scale intensity or its
+    reciprocal within 1e-9 raise NonScaleEntry, naming the first such
+    entry in row-major order.
     """
     table = table or default_scale_table()
     size = len(table)
@@ -204,16 +253,9 @@ def fuzzify(comparison, table: ScaleTable | None = None) -> FuzzyComparisonMatri
     if not on_scale.all():
         i, j = np.unravel_index(np.argmin(on_scale), on_scale.shape)
         raise NonScaleEntry(int(i), int(j), float(entries[i, j]))
-    # rows 0..size-1 of the stacked table are the direct group, then the
-    # inverse group in the same intensity order
-    stacked = np.array(
-        [real.as_tuple() for _, real, _ in table]
-        + [inv.as_tuple() for _, _, inv in table]
-    )
-    index = k.astype(np.min_scalar_type(2 * size))
-    index -= 1
-    np.add(index, size, out=index, where=inverse)
-    out = stacked[index]
-    diagonal = np.arange(len(entries))
-    out[diagonal, diagonal] = 1.0
-    return FuzzyComparisonMatrix(values=out)
+    # codes 0..size-1 are the direct group, then the inverse group in the
+    # same intensity order; an inverse match of intensity 1 keeps code 0
+    codes = k.astype(table.code_dtype)
+    codes -= 1
+    np.add(codes, size, out=codes, where=inverse & (codes > 0))
+    return FuzzyComparisonMatrix(codes=codes, table=table)

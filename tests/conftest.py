@@ -3,6 +3,7 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -76,3 +77,16 @@ def published_means() -> dict:
 @pytest.fixture(scope="session")
 def published_rank_order() -> list:
     return list(PUBLISHED_RANK_ORDER)
+
+
+def random_codes(rng, n, table):
+    """A valid n x n scale-row code matrix of `table`: zeros on the
+    diagonal, every code fuzzify can emit drawn above it, the mirror
+    codes below it."""
+    size = len(table)
+    emitted = np.array([c for c in range(2 * size) if c != size])
+    codes = np.zeros((n, n), dtype=table.code_dtype)
+    upper = np.triu_indices(n, 1)
+    codes[upper] = rng.choice(emitted, size=len(upper[0]))
+    codes.T[upper] = table.mirror[codes[upper]]
+    return codes

@@ -625,10 +625,10 @@ class TestDump:
         code = main(["dump", "--input", csv_path, "--schema", schema_path])
         assert code == EXIT_INPUT_ERROR
 
-    @pytest.mark.parametrize("stage", ["normalized", "comparison"])
+    @pytest.mark.parametrize("stage", ["normalized", "comparison", "fuzzy", "extents"])
     def test_no_gate_before_matrix_dumps(self, tmp_path, capsys, stage):
-        # standard mode has no random index past 10 criteria; these dumps
-        # stop before the gate, so the random-index source cannot matter
+        # standard mode has no random index past 10 criteria; no dump runs
+        # the gate, so the random-index source cannot matter
         columns = [f"c{j}" for j in range(12)]
         rows = [
             ",".join([f"u{i}", *(str((i * 7 + j * 3) % 9 * 0.5) for j in range(12))])
@@ -652,7 +652,12 @@ class TestDump:
             assert captured.err == ""
             outputs.append(captured.out)
         assert outputs[0] == outputs[1]
-        assert len(outputs[0].splitlines()) == (6 if stage == "normalized" else 13)
+        if stage == "fuzzy":
+            doc = json.loads(outputs[0])
+            assert doc["labels"] == [c.upper() for c in columns]
+            assert np.array(doc["entries"]).shape == (12, 12, 3)
+        else:
+            assert len(outputs[0].splitlines()) == (6 if stage == "normalized" else 13)
 
 
 # (command, flags it never reads): each is a usage error, not ignored

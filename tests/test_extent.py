@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 import fahp.extent
 import oracle
+from conftest import random_codes
 from fahp import (
     AllZeroDegrees,
     ComparisonMatrix,
+    FuzzyComparisonMatrix,
     Tfn,
     TooFewCriteria,
     WeightVector,
+    default_scale_table,
     fuzzify,
     min_degrees,
     possibility,
@@ -42,7 +45,28 @@ def random_reciprocal(rng, n):
     return ComparisonMatrix(entries=entries)
 
 
+def summed_extents(f):
+    """The computation the column fold replaces: sum the gathered values."""
+    sums = f.values.sum(axis=1)
+    return sums / sums.sum(axis=0)[::-1]
+
+
+def assert_fold_is_bit_equal(n, seed):
+    table = default_scale_table()
+    codes = random_codes(np.random.default_rng(seed), n, table)
+    f = FuzzyComparisonMatrix(codes=codes, table=table)
+    assert synthetic_extents(f).tobytes() == summed_extents(f).tobytes()
+
+
 class TestSyntheticExtents:
+    @given(n=st.integers(2, 400), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_fold_is_bit_equal_to_the_sum(self, n, seed):
+        assert_fold_is_bit_equal(n, seed)
+
+    def test_fold_is_bit_equal_to_the_sum_at_1000(self):
+        assert_fold_is_bit_equal(1000, 1000)
+
     def test_two_by_two_symmetric(self):
         f = fuzzify(ComparisonMatrix(entries=np.ones((2, 2))))
         extents = synthetic_extents(f)

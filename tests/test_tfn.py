@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
+from conftest import random_codes
 from fahp import (
     ComparisonMatrix,
     FuzzyComparisonMatrix,
@@ -86,6 +89,31 @@ class TestScaleTable:
         with pytest.raises(ValueError):
             ScaleTable(rows=((Tfn(1, 2, 3), Tfn(1, 2, 3)),))
 
+    def test_rejects_disordered_components(self):
+        # no row of a table, hence no entry of a fuzzy matrix, can have
+        # l > m or m > u
+        with pytest.raises(ValueError, match="not a valid TFN"):
+            ScaleTable(
+                rows=(
+                    (Tfn(1, 1, 1), Tfn(1, 1, 1)),
+                    (Tfn(2.5, 2.0, 1.5), Tfn(1 / 1.5, 0.5, 0.4)),
+                )
+            )
+
+    def test_just_equal_row_must_be_crisp(self):
+        # the diagonal of every fuzzy matrix is the intensity-1 direct row
+        with pytest.raises(ValueError, match="intensity 1"):
+            ScaleTable(rows=((Tfn(0.5, 1.0, 2.0), Tfn(0.5, 1.0, 2.0)),))
+
+    def test_row_table_and_mirror(self):
+        table = default_scale_table()
+        rows = table.row_table
+        assert rows.shape == (18, 3) and not rows.flags.writeable
+        for k, real, inverse in table:
+            assert tuple(rows[k - 1]) == real.as_tuple()
+            assert tuple(rows[9 + k - 1]) == inverse.as_tuple()
+        assert table.mirror.tolist() == [0, *range(10, 18), 0, *range(1, 9)]
+
 
 class TestFuzzify:
     def test_all_ones(self):
@@ -159,24 +187,18 @@ class TestFuzzify:
 
 class TestFuzzyComparisonMatrix:
     def test_rejects_bad_diagonal(self):
-        values = np.ones((2, 2, 3))
-        values[0, 0] = (1.0, 2.0, 3.0)
-        with pytest.raises(ValueError):
-            FuzzyComparisonMatrix(values=values)
+        codes = np.zeros((2, 2), dtype=np.uint8)
+        codes[0, 0] = 4  # intensity 5, (1.5, 2, 2.5)
+        with pytest.raises(ValueError, match=r"at \(0, 0\)"):
+            FuzzyComparisonMatrix(codes=codes, table=default_scale_table())
 
     def test_rejects_broken_reciprocity(self):
-        values = np.ones((2, 2, 3))
-        values[0, 1] = (1.5, 2.0, 2.5)
-        values[1, 0] = (0.9, 1.0, 1.1)
-        with pytest.raises(ValueError):
-            FuzzyComparisonMatrix(values=values)
-
-    def test_rejects_disordered_components(self):
-        values = np.ones((2, 2, 3))
-        values[0, 1] = (2.5, 2.0, 1.5)
-        values[1, 0] = (1 / 1.5, 0.5, 0.4)
-        with pytest.raises(ValueError):
-            FuzzyComparisonMatrix(values=values)
+        # intensity 5 above the diagonal, just-equal below it
+        codes = np.array([[0, 4], [0, 0]], dtype=np.uint8)
+        with pytest.raises(ValueError, match=r"at \(0, 1\)"):
+            FuzzyComparisonMatrix(codes=codes, table=default_scale_table())
+        codes[1, 0] = 13  # the inverse of intensity 5
+        assert FuzzyComparisonMatrix(codes=codes, table=default_scale_table()).n == 2
 
     def test_entry_accessor_and_nested_dump(self):
         c = ComparisonMatrix(entries=np.array([[1.0, 2.0], [0.5, 1.0]]))
@@ -185,3 +207,66 @@ class TestFuzzyComparisonMatrix:
         nested = f.values.tolist()
         assert nested[0][1] == [0.5, 0.75, 1.0]
         assert f.n == 2
+
+
+def float_checks(values):
+    """The float validation the code checks replace: finite, ordered,
+    positive entries, a (1, 1, 1) diagonal, and TFN reciprocity within
+    1e-12 across it."""
+    n = values.shape[0]
+    assert np.all(np.isfinite(values))
+    assert np.all(values[:, :, 0] <= values[:, :, 1])
+    assert np.all(values[:, :, 1] <= values[:, :, 2])
+    assert np.all(values[:, :, 0] > 0)
+    assert np.all(values[np.arange(n), np.arange(n)] == 1.0)
+    mirrored = 1.0 / values.transpose(1, 0, 2)[:, :, ::-1]
+    assert np.max(np.abs(values - mirrored)) <= 1e-12
+
+
+@given(
+    n=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+    where=st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
+    diagonal=st.booleans(),
+    code=st.integers(0, 255),
+)
+@settings(max_examples=300, deadline=None)
+def test_any_one_changed_code_is_refused(n, seed, where, diagonal, code):
+    table = default_scale_table()
+    codes = random_codes(np.random.default_rng(seed), n, table)
+    accepted = FuzzyComparisonMatrix(codes=codes, table=table)
+    # whatever the codes accept, the float checks accept too
+    float_checks(accepted.values)
+    i, j = int(where[0] * n), int(where[1] * (n - 1))
+    if diagonal:
+        j = i
+    elif j >= i:
+        j += 1
+    if code == codes[i, j]:
+        code = (code + 1) % 256
+    codes[i, j] = code
+    with pytest.raises(ValueError):
+        FuzzyComparisonMatrix(codes=codes, table=table)
+
+
+@st.composite
+def crisp_matrices(draw):
+    n = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return oracle.mean_gap(rng.uniform(0.0, 4.0, size=n).tolist())
+    entries = [[1.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            k = int(rng.integers(1, 10))
+            value = float(k) if rng.integers(2) else 1.0 / k
+            entries[i][j], entries[j][i] = value, 1.0 / value
+    return entries
+
+
+@given(crisp=crisp_matrices())
+@settings(max_examples=200, deadline=None)
+def test_values_are_the_fraction_table(crisp):
+    f = fuzzify(ComparisonMatrix(entries=np.array(crisp)))
+    expected = [[list(tfn) for tfn in row] for row in oracle.fuzzify(crisp)]
+    assert f.values.tolist() == expected
