@@ -194,7 +194,7 @@ def cmd_check(config: RunConfig) -> int:
 def cmd_dump(config: RunConfig, stage: str) -> int:
     # dumps are for audit and never write the gate's output, so no stage
     # runs the consistency check
-    result = run_to_comparison(config)
+    result = run_to_comparison(config, row_ids=(stage == "normalized"))
     if stage in ("normalized", "comparison"):
         matrix = result.matrix
         if stage == "normalized":

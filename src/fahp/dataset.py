@@ -96,11 +96,12 @@ class RatingMatrix:
     """Users by criteria matrix of average ratings in [0, 4].
 
     values rows follow file order, columns follow schema order. The array
-    is frozen after validation so instances are safe to share.
+    is frozen after validation so instances are safe to share. row_ids is
+    None when the id column was not read; otherwise it holds one id per row.
     """
 
     values: np.ndarray
-    row_ids: tuple[str, ...]
+    row_ids: tuple[str, ...] | None
     criteria: tuple[str, ...]
     source_columns: tuple[str, ...] = ()
     id_column: str = "row"
@@ -118,7 +119,7 @@ class RatingMatrix:
             raise ValueError(
                 f"{cols} columns but {len(self.criteria)} criterion labels"
             )
-        if len(self.row_ids) != rows:
+        if self.row_ids is not None and len(self.row_ids) != rows:
             raise ValueError(f"{rows} rows but {len(self.row_ids)} row ids")
         bad = ~np.isfinite(arr) | (arr < RATING_MIN) | (arr > RATING_MAX)
         if np.any(bad):
@@ -127,7 +128,8 @@ class RatingMatrix:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "row_ids", tuple(self.row_ids))
+        if self.row_ids is not None:
+            object.__setattr__(self, "row_ids", tuple(self.row_ids))
         object.__setattr__(self, "criteria", tuple(self.criteria))
         object.__setattr__(self, "source_columns", tuple(self.source_columns))
 
@@ -136,7 +138,9 @@ class RatingMatrix:
         return self.values.shape
 
 
-def load_csv(path, schema: DatasetSchema | None = None) -> RatingMatrix:
+def load_csv(
+    path, schema: DatasetSchema | None = None, *, row_ids: bool = True
+) -> RatingMatrix:
     """Parse a ratings CSV into a RatingMatrix.
 
     The first row must be a header containing the schema's id column and
@@ -145,14 +149,20 @@ def load_csv(path, schema: DatasetSchema | None = None) -> RatingMatrix:
     are 1-based data rows (the header is row 0). Fully blank lines are
     skipped.
 
+    With row_ids=False the id column is checked in the header but its
+    cells are not read, and the matrix's row_ids is None.
+
     numpy's C reader handles well-formed files. On any record it cannot
     take as is, the file is read again by the per-cell loop, which skips
     blank lines and names the first bad cell.
     """
     schema = schema or DatasetSchema.default()
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        positions = _header_positions(csv.reader(fh), path, schema)
-        parsed = _parse_bulk(fh, *positions) if _fields_fit(path) else None
+        id_pos, col_pos = _header_positions(csv.reader(fh), path, schema)
+        if _fields_fit(path):
+            parsed = _parse_bulk(fh, id_pos if row_ids else None, col_pos)
+        else:
+            parsed = None
     if parsed is not None:
         try:
             # RatingMatrix checks the shape before the range and counts a
@@ -162,10 +172,10 @@ def load_csv(path, schema: DatasetSchema | None = None) -> RatingMatrix:
             pass
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        parsed = _parse_cells(
+        values, ids = _parse_cells(
             reader, path, schema.columns, *_header_positions(reader, path, schema)
         )
-    return _rating_matrix(*parsed, schema)
+    return _rating_matrix(values, ids if row_ids else None, schema)
 
 
 def _header_positions(reader, path, schema: DatasetSchema) -> tuple[int, list[int]]:
@@ -211,22 +221,30 @@ def _fields_fit(path) -> bool:
     return b'"' not in data
 
 
-def _parse_bulk(fh, id_pos: int, col_pos: list[int]):
+def _parse_bulk(fh, id_pos: int | None, col_pos: list[int]):
     """The data records after the header as (values array, row ids), read
     by numpy's C reader, or None when a record needs the per-cell loop.
     numpy reads floats as `float` does, bit for bit, but refuses a few
-    tokens `float` takes (`1_0`, non-ASCII digits)."""
+    tokens `float` takes (`1_0`, non-ASCII digits). With id_pos None the
+    ids are None: a plain float array skips the object field, which is
+    most of the cost of reading ids."""
+    if id_pos is None:
+        usecols, dtype, ndmin = col_pos, float, 2
+    else:
+        usecols = [id_pos, *col_pos]
+        dtype, ndmin = [("id", object), ("v", float, (len(col_pos),))], 1
     try:
         with warnings.catch_warnings():
             # the loop names a file without data records as empty
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             table = np.loadtxt(
-                fh, delimiter=",", quotechar='"', comments=None, ndmin=1,
-                usecols=[id_pos, *col_pos],
-                dtype=[("id", object), ("v", float, (len(col_pos),))],
+                fh, delimiter=",", quotechar='"', comments=None, ndmin=ndmin,
+                usecols=usecols, dtype=dtype,
             )
     except ValueError:
         return None
+    if id_pos is None:
+        return table, None
     return table["v"], [row_id.strip() for row_id in table["id"].tolist()]
 
 
@@ -274,7 +292,7 @@ def _numbered(reader):
 def _rating_matrix(values, row_ids, schema: DatasetSchema) -> RatingMatrix:
     return RatingMatrix(
         values=values,
-        row_ids=tuple(row_ids),
+        row_ids=row_ids,
         criteria=tuple(schema.labels),
         source_columns=tuple(schema.columns),
         id_column=schema.id_column,

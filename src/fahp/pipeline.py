@@ -78,7 +78,12 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Every intermediate a run produced, for reports, dumps, and demos."""
+    """Every intermediate a run produced, for reports, dumps, and demos.
+
+    matrix.row_ids is None unless the run was asked for the ids: only
+    run_to_comparison(config, row_ids=True), which the normalized dump
+    calls, reads them.
+    """
 
     config: RunConfig
     matrix: RatingMatrix
@@ -116,11 +121,12 @@ def _load_schema(config: RunConfig) -> DatasetSchema:
     return DatasetSchema.from_json(config.schema)
 
 
-def run_to_comparison(config: RunConfig) -> PipelineResult:
-    """Run ingest through the comparison matrix."""
+def run_to_comparison(config: RunConfig, *, row_ids: bool = False) -> PipelineResult:
+    """Run ingest through the comparison matrix; the id column is read only
+    with row_ids=True, since no stage of the method uses it."""
     with _stage("ingest"):
         schema = _load_schema(config)
-        matrix = load_csv(config.input, schema)
+        matrix = load_csv(config.input, schema, row_ids=row_ids)
     with _stage("normalize"):
         normalized = normalize(matrix)
     with _stage("comparison"):

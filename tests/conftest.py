@@ -38,6 +38,14 @@ PUBLISHED_RANK_ORDER = [
 ]
 
 
+# ids a CSV reader could misread: a comment sign, a delimiter, an escaped
+# quote, a quoted newline, padding in and outside quotes, over 64 characters
+ID_CELLS = [
+    "u{i}", "u#{i}", "#u{i}", '"u,{i}"', '"u""{i}"', '"u\n{i}"', "  u{i} ",
+    '" u{i} "', ' "u{i}"', "u{i}" + "x" * 70,
+]
+
+
 # one line per acceptance criterion, echoed after the run so the
 # pass/fail record is visible even with output capture on
 ACCEPTANCE_LINES: list = []

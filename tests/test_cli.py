@@ -22,7 +22,7 @@ from fahp.cli import EXIT_GATE_REJECTED, EXIT_INPUT_ERROR, EXIT_OK, main
 from fahp.consistency import DERIVATION_RULES
 from fahp.report import render_fuzzy_json, render_json, render_matrix_csv
 
-from conftest import REPO_ROOT
+from conftest import ID_CELLS, REPO_ROOT
 
 SMALL_CSV = "ID,c1,c2\nu1,1.0,3.0\nu2,2.0,4.0\nu3,3.0,2.0\n"
 
@@ -535,6 +535,26 @@ class TestDump:
         values = np.array([[float(cell) for cell in r[1:]] for r in records[1:]])
         assert values.tobytes() == expected.values.tobytes()
 
+    def test_normalized_keeps_the_bytes_of_odd_ids(self, tmp_path, capsys):
+        rows = [
+            cell.format(i=i) + f",{i % 5 * 0.75},{i * 3 % 7 * 0.5}"
+            for i, cell in enumerate(ID_CELLS)
+        ]
+        csv_path = tmp_path / "ratings.csv"
+        csv_path.write_text("ID,c1,c2\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(SMALL_SCHEMA, encoding="utf-8")
+        argv = ["dump", "--input", str(csv_path), "--schema", str(schema_path)]
+        assert main([*argv, "--dump", "normalized"]) == EXIT_OK
+        # the bytes written while every command still read the ids
+        assert capsys.readouterr().out == (
+            'ID,c1,c2\nu0,0.0,0.0\nu#1,0.25,0.5\n#u2,0.5,1.0\n'
+            '"u,3",0.75,0.3333333333333333\n"u""4",1.0,0.8333333333333334\n'
+            '"u\n5",0.0,0.16666666666666666\nu6,0.25,0.6666666666666666\n'
+            'u7,0.5,0.0\n"""u8""",0.75,0.5\n'
+            "u9" + "x" * 70 + ",1.0,1.0\n"
+        )
+
     def test_comparison_to_file(self, small_inputs, tmp_path):
         csv_path, schema_path = small_inputs
         out_csv = tmp_path / "comparison.csv"
@@ -658,6 +678,41 @@ class TestDump:
             assert np.array(doc["entries"]).shape == (12, 12, 3)
         else:
             assert len(outputs[0].splitlines()) == (6 if stage == "normalized" else 13)
+
+
+class TestRowIds:
+    """Only the normalized dump prints row ids, so only it reads them."""
+
+    def test_run_and_check_read_no_ids(self, small_inputs):
+        csv_path, schema_path = small_inputs
+        config = RunConfig(input=csv_path, schema=schema_path)
+        assert run(config).matrix.row_ids is None
+        assert pipeline.run_to_consistency(config).matrix.row_ids is None
+
+    @pytest.mark.parametrize(
+        "argv, reads_ids",
+        [
+            (["rank"], False),
+            (["check"], False),
+            *((["dump", "--dump", stage], stage == "normalized") for stage in cli.DUMP_STAGES),
+        ],
+        ids=["rank", "check", *cli.DUMP_STAGES],
+    )
+    def test_only_the_normalized_dump_reads_ids(
+        self, small_inputs, monkeypatch, capsys, argv, reads_ids
+    ):
+        original = pipeline.load_csv
+        calls = []
+
+        def spy(path, schema=None, **kwargs):
+            calls.append(kwargs.get("row_ids", True))
+            return original(path, schema, **kwargs)
+
+        monkeypatch.setattr(pipeline, "load_csv", spy)
+        csv_path, schema_path = small_inputs
+        command, *flags = argv
+        assert main([command, "--input", csv_path, "--schema", schema_path, *flags]) == EXIT_OK
+        assert calls == [reads_ids]
 
 
 # (command, flags it never reads): each is a usage error, not ignored

@@ -24,6 +24,8 @@ from fahp import (
 )
 from fahp import dataset
 
+from conftest import ID_CELLS
+
 TWO_COL_SCHEMA = DatasetSchema(
     id_column="id", criteria_columns=(("a", "A"), ("b", "B"))
 )
@@ -188,12 +190,6 @@ DIRTY_TOKENS = [
     "", "x", "nan", "NaN", "inf", "-inf", "Infinity", "1e999", "4.0000001",
     "-0.1", "5", "1_0", "1__0", "1,5", "0x1", "\udcff",
 ]
-# ids a CSV reader could misread: a comment sign, a delimiter, an escaped
-# quote, a quoted newline, padding in and outside quotes, over 64 characters
-ID_CELLS = [
-    "u{i}", "u#{i}", "#u{i}", '"u,{i}"', '"u""{i}"', '"u\n{i}"', "  u{i} ",
-    '" u{i} "', ' "u{i}"', "u{i}" + "x" * 70,
-]
 # (column, field) with a field longer than the csv module's limit: only the
 # loop reports it, so the bulk parse must decline
 FIELD_LIMIT = csv.field_size_limit()
@@ -265,9 +261,9 @@ def ratings_csv(draw):
     return text.encode("utf-8", "surrogateescape")
 
 
-def _outcome(path, schema):
+def _outcome(path, schema, row_ids=True):
     try:
-        m = load_csv(path, schema)
+        m = load_csv(path, schema, row_ids=row_ids)
     except Exception as exc:
         return type(exc), str(exc)
     return m.values.tobytes(), m.row_ids
@@ -287,13 +283,21 @@ class TestIngestPaths:
         path = tmp_path / "dirty.csv"
         path.write_bytes(data)
         both = _outcome(path, THREE_COL_SCHEMA)
+        values_only = _outcome(path, THREE_COL_SCHEMA, row_ids=False)
         with mock.patch.object(dataset, "_parse_bulk", return_value=None):
             loop = _outcome(path, THREE_COL_SCHEMA)
         assert both == loop
+        # without ids a record short of only its id parses in bulk; the
+        # values and every error are still the loop's
+        assert values_only == ((loop[0], None) if isinstance(loop[0], bytes) else loop)
 
     def test_shipped_dataset_takes_the_bulk_parse(self, dataset_path, monkeypatch):
         monkeypatch.setattr(dataset, "_parse_cells", _no_loop)
-        assert load_csv(dataset_path).shape == (980, 10)
+        with_ids = load_csv(dataset_path)
+        assert with_ids.shape == (980, 10)
+        m = load_csv(dataset_path, row_ids=False)
+        assert m.values.tobytes() == with_ids.values.tobytes()
+        assert m.row_ids is None
 
     def test_file_of_several_chunks_takes_the_bulk_parse(self, tmp_path, monkeypatch):
         rows = 773
@@ -306,6 +310,9 @@ class TestIngestPaths:
         m = load_csv(path, TWO_COL_SCHEMA)
         assert m.values.tobytes() == values.tobytes()
         assert m.row_ids == tuple(f"u{i}" for i in range(rows))
+        m = load_csv(path, TWO_COL_SCHEMA, row_ids=False)
+        assert m.values.tobytes() == values.tobytes()
+        assert m.row_ids is None
 
     @pytest.mark.parametrize(
         "line, error",
@@ -465,6 +472,13 @@ class TestRatingMatrix:
             RatingMatrix(
                 values=np.array([[1.0, 2.0]]), row_ids=("u1",), criteria=("A",)
             )
+
+    def test_row_ids_are_counted_only_when_present(self):
+        values = np.array([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValueError, match="2 rows but 1 row ids"):
+            RatingMatrix(values=values, row_ids=("u1",), criteria=("A", "B"))
+        m = RatingMatrix(values=values, row_ids=None, criteria=("A", "B"))
+        assert m.row_ids is None
 
 
 class TestColumnMeans:
