@@ -10,6 +10,7 @@ import pytest
 
 import oracle
 from fahp import (
+    ScaleTable,
     build_comparison,
     fuzzify,
     lambda_max,
@@ -17,6 +18,7 @@ from fahp import (
     synthetic_extents,
     weights,
 )
+from test_reference import loop_reference_weights
 
 
 def draw_means(seed, n, tied):
@@ -47,3 +49,13 @@ def test_mean_gap_matrix_and_weights_match_the_oracle(n, tied):
         # the oracle behind the report's mse, on the same matrix
         built_in = np.array(reference_weights(expected))
         assert np.max(np.abs(built_in - reference)) <= 1e-10
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["random", "tied"])
+@pytest.mark.parametrize("n", [200, 500])
+def test_built_in_oracle_matches_the_per_entry_loop(n, tied):
+    # the property stops at 60 criteria; here each row counts hundreds of
+    # cells, and the per-entry loop sums them one float at a time
+    entries = oracle.mean_gap(draw_means(7000 + n, n, tied))
+    expected = loop_reference_weights(entries, ScaleTable.default())
+    assert np.array(reference_weights(entries)).tobytes() == np.array(expected).tobytes()

@@ -1,8 +1,11 @@
 """The built-in oracle: one sequence per criterion column in, fsum folds out;
-its weight chain against the plain per-entry loop; its imports."""
+its weight chain against the plain per-entry loop; its exact row sums
+against fsum; its imports."""
 
 import ast
+import itertools
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 import oracle
 from conftest import REPO_ROOT
 from fahp import NonScaleEntry, ScaleTable, Tfn, fuzzify, reference_scores, reference_weights
+from fahp.reference import _exact_bounds
 
 # mild preferences, so every criterion keeps a non-zero weight
 ENTRIES = [[1.0, 2.0, 3.0], [0.5, 1.0, 2.0], [1.0 / 3.0, 0.5, 1.0]]
@@ -33,6 +37,12 @@ def test_scores_fold_each_column(aggregate):
     # the pipeline hands over read-only column views of the rating matrix
     views = [memoryview(column) for column in values.T]
     assert reference_scores(views, ENTRIES, aggregate=aggregate) == scores
+
+
+def test_unknown_aggregate_is_refused():
+    columns = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    with pytest.raises(ValueError, match="median"):
+        reference_scores(columns, ENTRIES, aggregate="median")
 
 
 def loop_lookup(value, table, i, j):
@@ -151,6 +161,24 @@ def test_weights_match_the_per_entry_loop(entries, table):
     assert np.array(weights).tobytes() == np.array(expected).tobytes()
 
 
+@given(table=st.sampled_from(TABLES), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_integer_row_sums_equal_fsum(table, data):
+    table = table or ScaleTable.default()
+    den, numerators = _exact_bounds(table)
+    rows = [tfn.as_tuple() for _, real, inverse in table for tfn in (real, inverse)]
+    for row in rows:
+        assert [Fraction(num, den) for num in numerators[row]] == [Fraction(x) for x in row]
+    # rows[0] is the diagonal's (1, 1, 1): every row sum holds it at least once
+    counts = [data.draw(st.integers(1, 5000))]
+    others = st.lists(st.integers(0, 5000), min_size=len(rows) - 1, max_size=len(rows) - 1)
+    counts += data.draw(others)
+    for c in range(3):
+        exact = sum(count * numerators[row][c] for row, count in zip(rows, counts)) / den
+        cells = itertools.chain.from_iterable([row[c]] * count for row, count in zip(rows, counts))
+        assert np.float64(exact).tobytes() == np.float64(math.fsum(cells)).tobytes()
+
+
 @pytest.mark.parametrize(
     "value", [float("inf"), -float("inf"), 1e-320, 5e-324], ids=["inf", "-inf", "1e-320", "5e-324"]
 )
@@ -171,6 +199,34 @@ def test_first_off_scale_entry_is_named_after_earlier_matches():
     with pytest.raises(NonScaleEntry) as err:
         reference_weights(entries)
     assert (err.value.i, err.value.j, err.value.value) == (0, 2, 2.5)
+
+
+@pytest.mark.parametrize("first", [-0.0, 0.0], ids=["minus-zero-first", "zero-first"])
+def test_signed_zeros_name_the_first_with_its_sign(first):
+    # -0.0 == 0.0, so the row's counts hold the two under one key
+    entries = [
+        [1.0, 2.0, first, -first],
+        [0.5, 1.0, 2.0, 2.0],
+        [2.0, 0.5, 1.0, 2.0],
+        [2.0, 0.5, 0.5, 1.0],
+    ]
+    with pytest.raises(NonScaleEntry) as err:
+        reference_weights(entries)
+    assert (err.value.i, err.value.j) == (0, 2)
+    assert np.float64(err.value.value).tobytes() == np.float64(first).tobytes()
+
+
+def test_repeated_off_scale_entry_is_named_at_its_first_column():
+    # 2.5 sits on row 1's diagonal first, then at (1, 2) and (1, 3)
+    entries = [
+        [1.0, 2.0, 0.5, 0.5],
+        [0.5, 2.5, 2.5, 2.5],
+        [2.0, 0.4, 1.0, 2.0],
+        [2.0, 0.4, 0.5, 1.0],
+    ]
+    with pytest.raises(NonScaleEntry) as err:
+        reference_weights(entries)
+    assert (err.value.i, err.value.j, err.value.value) == (1, 2, 2.5)
 
 
 def test_diagonal_is_never_looked_up():
