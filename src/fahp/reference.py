@@ -26,7 +26,8 @@ _MATCH_TOL = 1e-9
 
 _AGGREGATES = ("mean", "sum")
 
-# (table, den, numerators) of the last table seen, checked by identity
+# (table, den, numerators) of the last table seen, checked by identity so
+# the default table's are built once, not on every call; tables are frozen
 _last_exact: tuple = (None, 1, {})
 
 

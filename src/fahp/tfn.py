@@ -85,6 +85,9 @@ class ScaleTable:
         for k, (real, inverse) in enumerate(self.rows, start=1):
             if real.l <= 0 or inverse.l <= 0:
                 raise ValueError(f"intensity {k}: scale TFNs need l > 0")
+            # the loop oracle sums the bounds exactly as integer ratios
+            if not np.isfinite(real.as_tuple() + inverse.as_tuple()).all():
+                raise ValueError(f"intensity {k}: scale TFNs need finite bounds")
             expected = real.reciprocal()
             off = max(
                 abs(inverse.l - expected.l),

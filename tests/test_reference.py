@@ -231,7 +231,10 @@ def test_repeated_off_scale_entry_is_named_at_its_first_column():
 
 def test_diagonal_is_never_looked_up():
     entries = [[float("nan"), 2.0], [0.5, 0.0]]
-    assert reference_weights(entries) == reference_weights([[1.0, 2.0], [0.5, 1.0]])
+    expected = reference_weights([[1.0, 2.0], [0.5, 1.0]])
+    assert reference_weights(entries) == expected
+    # each cell read from a numpy row is a new float64 object, and NaN != NaN
+    assert reference_weights(np.array(entries)) == expected
 
 
 # the second oracle recomputes the weights without the library's kernels;

@@ -100,6 +100,12 @@ class TestScaleTable:
                 )
             )
 
+    def test_rejects_an_infinite_bound(self):
+        # 1 / 1e-320 overflows: the inverse row's u would be inf
+        direct = Tfn(1e-320, 0.75, 1.0)
+        with pytest.raises(ValueError, match="intensity 2: scale TFNs need finite bounds"):
+            ScaleTable(rows=((Tfn(1, 1, 1), Tfn(1, 1, 1)), (direct, direct.reciprocal())))
+
     def test_just_equal_row_must_be_crisp(self):
         # the diagonal of every fuzzy matrix is the intensity-1 direct row
         with pytest.raises(ValueError, match="intensity 1"):
