@@ -10,7 +10,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields
 
 from .errors import (
     FahpError,
@@ -137,8 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    names = {f.name for f in fields(RunConfig)}
-    return RunConfig(**{k: v for k, v in vars(args).items() if k in names})
+    return RunConfig(**{k: v for k, v in vars(args).items() if k in RunConfig._fields})
 
 
 def _write_output(path: str, text: str) -> None:

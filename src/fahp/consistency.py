@@ -8,7 +8,6 @@ the matrix is usable (CR <= 0.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,6 +20,7 @@ from .errors import (
     UnsupportedOrder,
     ZeroRandomIndex,
 )
+from .record import Record
 
 CR_LIMIT = 0.1
 
@@ -39,8 +39,7 @@ RECIPROCITY_TOL = 1e-12
 _CI_ZERO_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ComparisonMatrix:
+class ComparisonMatrix(Record):
     """n x n reciprocal matrix of Saaty intensities and their reciprocals."""
 
     entries: np.ndarray
@@ -175,8 +174,7 @@ def consistency_ratio(ci: float, ir: float) -> float:
     return ci / ir
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(Record):
     """Everything the gate decision rests on, in one immutable record."""
 
     lambda_max: float

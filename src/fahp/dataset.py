@@ -12,7 +12,6 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -26,6 +25,7 @@ from .errors import (
     TooFewCriteria,
     UnreadableRecord,
 )
+from .record import Record
 
 RATING_MIN = 0.0
 RATING_MAX = 4.0
@@ -33,8 +33,7 @@ RATING_MAX = 4.0
 _DEFAULT_SCHEMA_RESOURCE = "travel_reviews_schema.json"
 
 
-@dataclass(frozen=True)
-class DatasetSchema:
+class DatasetSchema(Record):
     """Names the id column and the ordered (column, label) criterion pairs."""
 
     id_column: str
@@ -91,8 +90,7 @@ class DatasetSchema:
         return cls.from_dict(json.loads(ref.read_text(encoding="utf-8")))
 
 
-@dataclass(frozen=True)
-class RatingMatrix:
+class RatingMatrix(Record):
     """Users by criteria matrix of average ratings in [0, 4].
 
     values rows follow file order, columns follow schema order. The array

@@ -8,12 +8,12 @@ minimum degrees normalize to the weight vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import AllZeroDegrees, TooFewCriteria
+from .record import Record
 from .tfn import FuzzyComparisonMatrix, Tfn
 
 
@@ -84,8 +84,7 @@ def min_degrees(extents: np.ndarray) -> np.ndarray:
     return degree.min(axis=1)
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Record):
     """Nonnegative criterion weights on the unit simplex.
 
     min_degrees holds the pre-normalization d'(A_i) values so reports can

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .record import Record
 
-@dataclass(frozen=True)
-class NormalizedMatrix:
+
+class NormalizedMatrix(Record):
     """Decision matrix rescaled so each positive column peaks at 1.
 
     column_max_used holds the per-column divisor so the transform is

@@ -9,7 +9,6 @@ GateRejected unless the config forces continuation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -31,14 +30,14 @@ from .ranking import (
     score,
     validate,
 )
+from .record import Record, replace
 from .reference import reference_scores
 from .tfn import FuzzyComparisonMatrix, default_scale_table, fuzzify
 
 MODES = ("standard", "paper_compat")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Everything a run depends on; echoed into the report for round-trips.
 
     The fields are the one definition of each run option's name and
@@ -70,14 +69,13 @@ class RunConfig:
         output paths are omitted on purpose so the report bytes never
         depend on where they are written."""
         return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if not f.name.startswith("out_")
+            name: getattr(self, name)
+            for name in self._fields
+            if not name.startswith("out_")
         }
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(Record):
     """Every intermediate a run produced, for reports, dumps, and demos.
 
     matrix.row_ids is None unless the run was asked for the ids: only
@@ -100,19 +98,23 @@ class PipelineResult:
     validation: ValidationRecord | None = None
 
 
-def _stage(name: str):
-    class _Guard:
-        def __enter__(self):
-            return self
+class _stage:
+    """Names the stage a failure came from: FahpError, OSError, ValueError
+    and KeyError become PipelineError(name, exc); GateRejected and an
+    already wrapped PipelineError pass through."""
 
-        def __exit__(self, exc_type, exc, tb):
-            if exc is None or isinstance(exc, (GateRejected, PipelineError)):
-                return False
-            if isinstance(exc, (FahpError, OSError, ValueError, KeyError)):
-                raise PipelineError(name, exc) from exc
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc is None or isinstance(exc, (GateRejected, PipelineError)):
             return False
-
-    return _Guard()
+        if isinstance(exc, (FahpError, OSError, ValueError, KeyError)):
+            raise PipelineError(self.name, exc) from exc
+        return False
 
 
 def _load_schema(config: RunConfig) -> DatasetSchema:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -10,12 +9,12 @@ import numpy as np
 from .consistency import ConsistencyReport
 from .errors import DimensionMismatch, EmptyInput, LengthMismatch
 from .extent import WeightVector
+from .record import Record, replace
 
 AGGREGATES = ("mean", "sum")
 
 
-@dataclass(frozen=True)
-class ScoreVector:
+class ScoreVector(Record):
     """Per-criterion score: weight times the aggregated column value."""
 
     labels: tuple[str, ...]
@@ -47,8 +46,7 @@ def score(data, w: WeightVector, aggregate: str = "mean") -> ScoreVector:
     return ScoreVector(labels=tuple(data.criteria), scores=w.weights * folded)
 
 
-@dataclass(frozen=True)
-class RankRow:
+class RankRow(Record):
     rank: int
     label: str
     score_real: float
@@ -86,8 +84,7 @@ def rank(scores: ScoreVector, normalized: ScoreVector | None = None) -> tuple[Ra
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class RankingReport:
+class RankingReport(Record):
     """Ordered rank rows plus the evidence backing them."""
 
     rows: tuple[RankRow, ...]
@@ -129,8 +126,7 @@ def mse(f: Sequence[float], y: Sequence[float]) -> float:
     return float(np.mean(diff * diff))
 
 
-@dataclass(frozen=True)
-class ValidationRecord:
+class ValidationRecord(Record):
     mse: float
     tolerance: float
     passed: bool

@@ -15,20 +15,19 @@ float form is only gathered when something prints it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
 from .errors import NonPositiveSupport, NonScaleEntry, UnknownIntensity
+from .record import Record
 
 # how close a crisp entry must be to an intensity or its reciprocal
 SCALE_MATCH_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Tfn:
+class Tfn(Record):
     """Triangular fuzzy number (lower, modal, upper)."""
 
     l: float
@@ -65,8 +64,7 @@ _DIRECT_ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class ScaleTable:
+class ScaleTable(Record):
     """Intensity (1..len) to (direct TFN, inverse TFN) lookup.
 
     The table is plain data so alternative fuzzifications of the Saaty
@@ -175,8 +173,7 @@ def default_scale_table() -> ScaleTable:
     return _DEFAULT_TABLE
 
 
-@dataclass(frozen=True)
-class FuzzyComparisonMatrix:
+class FuzzyComparisonMatrix(Record):
     """n x n matrix of TFNs, reciprocal across the diagonal, held as codes.
 
     codes index the rows of table.row_table (see the module docstring).
