@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import os
+import stat
 import warnings
 from importlib import resources
 
@@ -153,14 +154,26 @@ def load_csv(
     numpy's C reader handles well-formed files. On any record it cannot
     take as is, the file is read again by the per-cell loop, which skips
     blank lines and names the first bad cell.
+
+    Without ids numpy is given the file's name, which it reads in chunks;
+    from the open handle it pulls one line per Python call. Ids are read
+    from the handle, since numpy opens a name with universal newlines and
+    would turn a quoted `\r` in an id into `\n`; so is a file that
+    `_reopen_name` declines.
     """
     schema = schema or DatasetSchema.default()
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        id_pos, col_pos = _header_positions(csv.reader(fh), path, schema)
-        if _fields_fit(path):
-            parsed = _parse_bulk(fh, id_pos if row_ids else None, col_pos)
-        else:
+        reader = csv.reader(fh)
+        id_pos, col_pos = _header_positions(reader, path, schema)
+        name = None if row_ids else _reopen_name(fh, path)
+        if not _fields_fit(path):
             parsed = None
+        elif name is None:
+            parsed = _parse_bulk(fh, 0, id_pos if row_ids else None, col_pos)
+        else:
+            # line_num counts physical lines, as skiprows does, so a header
+            # with a quoted line end is skipped whole
+            parsed = _parse_bulk(name, reader.line_num, None, col_pos)
     if parsed is not None:
         try:
             # RatingMatrix checks the shape before the range and counts a
@@ -203,8 +216,9 @@ def _header_positions(reader, path, schema: DatasetSchema) -> tuple[int, list[in
 def _fields_fit(path) -> bool:
     """False when a field could be longer than `csv.field_size_limit()`,
     which the loop reports and numpy reads. A file larger than the limit
-    fits only with a newline in every run of limit + 1 bytes and no `"`,
-    since a quoted field can span lines."""
+    fits only with a line end (`\n` or `\r`, which both end a record) in
+    every run of limit + 1 bytes and no `"`, since a quoted field can span
+    lines."""
     limit = csv.field_size_limit()
     if os.path.getsize(path) <= limit:
         return True
@@ -212,16 +226,42 @@ def _fields_fit(path) -> bool:
         data = fb.read()
     start = 0
     while len(data) - start > limit:
-        newline = data.rfind(b"\n", start, start + limit + 1)
-        if newline < 0:
+        end = start + limit + 1
+        line_end = max(data.rfind(b"\n", start, end), data.rfind(b"\r", start, end))
+        if line_end < 0:
             return False
-        start = newline + 1
+        start = line_end + 1
     return b'"' not in data
 
 
-def _parse_bulk(fh, id_pos: int | None, col_pos: list[int]):
-    """The data records after the header as (values array, row ids), read
-    by numpy's C reader, or None when a record needs the per-cell loop.
+# numpy reads a name with one of these suffixes (case-sensitive) through
+# gzip, bz2 or lzma, whatever the bytes are
+_DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _reopen_name(fh, path) -> str | None:
+    """The name under which numpy reads the file open as fh from its first
+    byte as plain text, or None. A pipe or other file that is not regular
+    would not start over when reopened, and numpy decompresses a name by
+    its suffix. The name is absolute, so numpy never takes it for a URL,
+    and not normalized, since `..` after a symlink need not lead where the
+    text says."""
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return None
+    name = os.fsdecode(path)
+    if name.endswith(_DECOMPRESSED_SUFFIXES):
+        return None
+    # a relative name was just opened, so the working directory exists
+    return name if os.path.isabs(name) else os.path.join(os.getcwd(), name)
+
+
+def _parse_bulk(source, skiprows: int, id_pos: int | None, col_pos: list[int]):
+    """The data records as (values array, row ids), read by numpy's C
+    reader, or None when the per-cell loop must read them: a record numpy
+    cannot take, or a name it cannot open (numpy also looks up the working
+    directory, which may be gone). source is the handle just past the
+    header (skiprows 0) or a name from `_reopen_name`, of which the first
+    skiprows lines are the header.
     numpy reads floats as `float` does, bit for bit, but refuses a few
     tokens `float` takes (`1_0`, non-ASCII digits). With id_pos None the
     ids are None: a plain float array skips the object field, which is
@@ -236,10 +276,11 @@ def _parse_bulk(fh, id_pos: int | None, col_pos: list[int]):
             # the loop names a file without data records as empty
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             table = np.loadtxt(
-                fh, delimiter=",", quotechar='"', comments=None, ndmin=ndmin,
-                usecols=usecols, dtype=dtype,
+                source, delimiter=",", quotechar='"', comments=None, ndmin=ndmin,
+                usecols=usecols, dtype=dtype, skiprows=skiprows,
+                encoding="utf-8-sig",
             )
-    except ValueError:
+    except (OSError, ValueError):
         return None
     if id_pos is None:
         return table, None

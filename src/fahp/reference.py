@@ -149,12 +149,21 @@ def reference_scores(
     aggregate: str = "mean",
 ) -> list[float]:
     """Independent score vector: recomputed weights times column folds;
-    cells holds one sequence of floats per criterion column, not per row."""
+    cells holds one sequence of floats per criterion column, not per row.
+
+    A criterion whose recomputed weight is exactly 0.0 scores 0.0 and its
+    column is never read: 0.0 times the fold of finite ratings in [0, 4]
+    is 0.0, so the score never depended on those cells. (A non-finite cell
+    in such a column, which no RatingMatrix holds, no longer turns the
+    score into NaN.)"""
     if aggregate not in _AGGREGATES:
         raise ValueError(f"aggregate must be one of {_AGGREGATES}, got {aggregate!r}")
     w = reference_weights(comparison_entries, table)
-    folded = []
-    for column in cells:
+    scores = []
+    for c, column in enumerate(cells):
+        if w[c] == 0.0:
+            scores.append(0.0)
+            continue
         total = math.fsum(column)
-        folded.append(total / len(column) if aggregate == "mean" else total)
-    return [w[c] * folded[c] for c in range(len(cells))]
+        scores.append(w[c] * (total / len(column) if aggregate == "mean" else total))
+    return scores

@@ -1,6 +1,7 @@
 """Ingestion: schema handling, validation errors, and mean statistics."""
 
 import csv
+import os
 import warnings
 from unittest import mock
 
@@ -226,8 +227,8 @@ def ratings_csv(draw):
     undecodable bytes."""
     dirty = draw(st.booleans())
     header = draw(st.permutations(["id", "a", "b", "c", "x"]))
-    # a quoted newline in an unused header cell
-    unused = draw(st.sampled_from(["x", '"x\ny"']))
+    # a quoted line end in an unused header cell
+    unused = draw(st.sampled_from(["x", '"x\ny"', '"x\ry"']))
     records = [",".join(unused if name == "x" else name for name in header)]
     for i in range(draw(st.integers(0, 12))):
         shape = draw(st.sampled_from(SHAPES)) if dirty else "full"
@@ -253,7 +254,7 @@ def ratings_csv(draw):
         column, field = draw(st.sampled_from(OVERSIZED))
         cells = [field if name == column else "1" for name in header]
         records.insert(draw(st.integers(1, len(records))), ",".join(cells))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = newline.join(records) + draw(st.sampled_from(["", newline]))
     if draw(st.booleans()):
         text = "\ufeff" + text
@@ -427,6 +428,21 @@ class TestIngestPaths:
         monkeypatch.setattr(dataset, "_parse_cells", _no_loop)
         assert load_csv(path, TWO_COL_SCHEMA).shape == (rows, 2)
 
+    def test_file_with_cr_line_ends_takes_the_bulk_parse(self, tmp_path, monkeypatch):
+        # larger than the field limit, so _fields_fit scans for line ends
+        rows = FIELD_LIMIT // 10
+        lines = ["id,a,b", *(f"u{i},{i % 17 / 4!r},2.5" for i in range(rows))]
+        twin = write(tmp_path, "\n".join(lines) + "\n", name="lf.csv")
+        path = write(tmp_path, "\r".join(lines) + "\r", name="cr.csv")
+        assert path.stat().st_size > FIELD_LIMIT
+        monkeypatch.setattr(dataset, "_parse_cells", _no_loop)
+        for row_ids in (True, False):
+            m = load_csv(path, TWO_COL_SCHEMA, row_ids=row_ids)
+            want = load_csv(twin, TWO_COL_SCHEMA, row_ids=row_ids)
+            assert m.values.tobytes() == want.values.tobytes()
+            assert m.row_ids == want.row_ids
+        assert m.shape == (rows, 2)
+
     def test_single_criterion_bad_cell_is_named(self, tmp_path):
         path = write(tmp_path, "id,a\nu1,12\n")
         schema = DatasetSchema(id_column="id", criteria_columns=(("a", "A"),))
@@ -445,6 +461,83 @@ class TestIngestPaths:
 
 def _no_loop(*args):
     raise AssertionError("the per-cell loop ran")
+
+
+PLAIN_TEXT = 'id,"x\ry",a,b\r\nu1,z,1.25,2.0\r\n"u\r2",z,3.0,0.5\r\n'
+PLAIN_VALUES = np.array([[1.25, 2.0], [3.0, 0.5]]).tobytes()
+
+
+class TestReadByName:
+    """Without ids numpy reads the file by its name; with ids, and for a
+    name numpy would decompress or a file that is not regular, it reads
+    the open handle. Every way gives the same matrix."""
+
+    @pytest.fixture
+    def loadtxt_sources(self, monkeypatch):
+        sources = []
+        loadtxt = np.loadtxt
+
+        def spy(source, *args, **kwargs):
+            sources.append(source)
+            return loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(dataset.np, "loadtxt", spy)
+        monkeypatch.setattr(dataset, "_parse_cells", _no_loop)
+        return sources
+
+    @pytest.mark.parametrize(
+        "name",
+        ["r.csv", "r.csv.gz", "r.csv.bz2", "r.csv.xz", "r.csv.lzma", "r.csv.GZ", "http:/host/r.csv"],
+    )
+    def test_plain_text_under_any_name(self, tmp_path, monkeypatch, loadtxt_sources, name):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(PLAIN_TEXT.encode("utf-8"))
+        with_ids = load_csv(name, TWO_COL_SCHEMA)
+        m = load_csv(name, TWO_COL_SCHEMA, row_ids=False)
+        assert with_ids.values.tobytes() == m.values.tobytes() == PLAIN_VALUES
+        # read from the handle, a quoted \r in an id stays a \r
+        assert with_ids.row_ids == ("u1", "u\r2")
+        assert m.row_ids is None
+        by_handle, by_name = loadtxt_sources
+        assert not isinstance(by_handle, str)
+        if name.endswith((".gz", ".bz2", ".xz", ".lzma")):
+            assert not isinstance(by_name, str)
+        else:
+            assert by_name == str(path)
+
+    def test_name_is_not_normalized(self, tmp_path, monkeypatch, loadtxt_sources):
+        # link/../r.csv is b/r.csv to the kernel, r.csv to os.path.abspath
+        (tmp_path / "b" / "sub").mkdir(parents=True)
+        write(tmp_path / "b", PLAIN_TEXT, name="r.csv")
+        write(tmp_path, "id,a,b\nu1,4.0,4.0\n", name="r.csv")
+        (tmp_path / "link").symlink_to(tmp_path / "b" / "sub")
+        monkeypatch.chdir(tmp_path)
+        m = load_csv(os.path.join("link", "..", "r.csv"), TWO_COL_SCHEMA, row_ids=False)
+        assert m.values.tobytes() == PLAIN_VALUES
+        assert loadtxt_sources == [os.path.join(str(tmp_path), "link", "..", "r.csv")]
+
+    def test_absolute_name_read_from_a_removed_directory(self, tmp_path, monkeypatch):
+        path = write(tmp_path, PLAIN_TEXT, name="r.csv")
+        (tmp_path / "gone").mkdir()
+        monkeypatch.chdir(tmp_path / "gone")
+        (tmp_path / "gone").rmdir()
+        m = load_csv(path, TWO_COL_SCHEMA, row_ids=False)
+        assert m.values.tobytes() == PLAIN_VALUES
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_pipe_is_read_from_the_handle(self, loadtxt_sources):
+        # reopened, a pipe would go on where the first reader's buffer ended
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as fw:
+            fw.write(PLAIN_TEXT.encode("utf-8"))
+        try:
+            m = load_csv(f"/dev/fd/{read_end}", TWO_COL_SCHEMA, row_ids=False)
+        finally:
+            os.close(read_end)
+        assert m.values.tobytes() == PLAIN_VALUES
+        assert len(loadtxt_sources) == 1 and not isinstance(loadtxt_sources[0], str)
 
 
 class TestRatingMatrix:

@@ -1,6 +1,6 @@
-"""The built-in oracle: one sequence per criterion column in, fsum folds out;
-its weight chain against the plain per-entry loop; its exact row sums
-against fsum; its imports."""
+"""The built-in oracle: one sequence per criterion column in, fsum folds out
+(none for a zero-weight column); its weight chain against the plain
+per-entry loop; its exact row sums against fsum; its imports."""
 
 import ast
 import itertools
@@ -15,7 +15,17 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import REPO_ROOT
-from fahp import NonScaleEntry, ScaleTable, Tfn, fuzzify, reference_scores, reference_weights
+from fahp import (
+    NonScaleEntry,
+    ScaleTable,
+    Tfn,
+    build_comparison,
+    column_means,
+    fuzzify,
+    load_csv,
+    reference_scores,
+    reference_weights,
+)
 from fahp.reference import _exact_bounds
 
 # mild preferences, so every criterion keeps a non-zero weight
@@ -37,6 +47,63 @@ def test_scores_fold_each_column(aggregate):
     # the pipeline hands over read-only column views of the rating matrix
     views = [memoryview(column) for column in values.T]
     assert reference_scores(views, ENTRIES, aggregate=aggregate) == scores
+
+
+def full_fold_scores(cells, entries, aggregate):
+    """The scores as the oracle computed them before it skipped zero-weight
+    columns: every column folded, then each fold times its weight."""
+    w = reference_weights(entries)
+    folded = []
+    for column in cells:
+        total = math.fsum(column)
+        folded.append(total / len(column) if aggregate == "mean" else total)
+    return [w[c] * folded[c] for c in range(len(cells))]
+
+
+class Unreadable:
+    """A column that fails the test when it is read."""
+
+    def __iter__(self):
+        raise AssertionError("a zero-weight column was read")
+
+    def __len__(self):
+        raise AssertionError("a zero-weight column was read")
+
+
+@pytest.mark.parametrize("aggregate", ["mean", "sum"])
+def test_zero_weight_columns_are_never_read(dataset_path, aggregate):
+    matrix = load_csv(dataset_path, row_ids=False)
+    entries = build_comparison(column_means(matrix)).entries.tolist()
+    w = reference_weights(entries)
+    # the shipped dataset's dominated criteria
+    assert w.count(0.0) == 6
+    columns = [memoryview(column) for column in matrix.values.T]
+    guarded = [Unreadable() if wc == 0.0 else col for wc, col in zip(w, columns)]
+    scores = reference_scores(guarded, entries, aggregate=aggregate)
+    expected = full_fold_scores(columns, entries, aggregate)
+    assert np.array(scores).tobytes() == np.array(expected).tobytes()
+
+
+@given(
+    n=st.integers(2, 12),
+    rows=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    grid=st.booleans(),
+    aggregate=st.sampled_from(["mean", "sum"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_scores_equal_the_full_fold(n, rows, seed, grid, aggregate):
+    rng = np.random.default_rng(seed)
+    if grid:
+        # quarter steps from 0 to 4 tie means and hold both bounds
+        values = rng.integers(0, 17, size=(rows, n)) / 4
+    else:
+        values = rng.uniform(0.0, 4.0, size=(rows, n))
+    entries = oracle.mean_gap(values.mean(axis=0).tolist())
+    columns = values.T.tolist()
+    scores = reference_scores(columns, entries, aggregate=aggregate)
+    expected = full_fold_scores(columns, entries, aggregate)
+    assert np.array(scores).tobytes() == np.array(expected).tobytes()
 
 
 def test_unknown_aggregate_is_refused():
