@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedOrder,
     ZeroRandomIndex,
 )
-from .record import Record
+from .record import Record, frozen
 
 CR_LIMIT = 0.1
 
@@ -57,9 +57,7 @@ class ComparisonMatrix(Record):
         low, high = 1.0 / 9.0 - 1e-12, 9.0 + 1e-12
         if np.any(arr < low) or np.any(arr > high):
             raise ValueError("entries must lie within [1/9, 9]")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", frozen(arr))
 
     @property
     def n(self) -> int:

@@ -26,7 +26,7 @@ from .errors import (
     TooFewCriteria,
     UnreadableRecord,
 )
-from .record import Record
+from .record import Record, frozen
 
 RATING_MIN = 0.0
 RATING_MAX = 4.0
@@ -97,6 +97,11 @@ class RatingMatrix(Record):
     values rows follow file order, columns follow schema order. The array
     is frozen after validation so instances are safe to share. row_ids is
     None when the id column was not read; otherwise it holds one id per row.
+
+    A read-only float array that owns its data is taken as is: its holder
+    hands it over and must not make it writeable again. Any other values,
+    a writeable array or a view of one included, are copied first, so a
+    caller's later writes never reach the matrix.
     """
 
     values: np.ndarray
@@ -120,13 +125,13 @@ class RatingMatrix(Record):
             )
         if self.row_ids is not None and len(self.row_ids) != rows:
             raise ValueError(f"{rows} rows but {len(self.row_ids)} row ids")
-        bad = ~np.isfinite(arr) | (arr < RATING_MIN) | (arr > RATING_MAX)
-        if np.any(bad):
+        # a NaN fails both comparisons; the mask is built only to name the
+        # first bad cell in row-major order
+        if not (arr.min() >= RATING_MIN and arr.max() <= RATING_MAX):
+            bad = ~np.isfinite(arr) | (arr < RATING_MIN) | (arr > RATING_MAX)
             i, j = map(int, np.argwhere(bad)[0])
             raise OutOfRange(i + 1, self.criteria[j], float(arr[i, j]))
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", frozen(arr))
         if self.row_ids is not None:
             object.__setattr__(self, "row_ids", tuple(self.row_ids))
         object.__setattr__(self, "criteria", tuple(self.criteria))
@@ -155,25 +160,31 @@ def load_csv(
     take as is, the file is read again by the per-cell loop, which skips
     blank lines and names the first bad cell.
 
-    Without ids numpy is given the file's name, which it reads in chunks;
-    from the open handle it pulls one line per Python call. Ids are read
-    from the handle, since numpy opens a name with universal newlines and
-    would turn a quoted `\r` in an id into `\n`; so is a file that
-    `_reopen_name` declines.
+    numpy is given the file's name, which it reads in chunks; from the
+    open handle it pulls one line per Python call. With ids, a file that
+    holds a `"` byte is read from the handle, since numpy opens a name with
+    universal newlines and would turn a quoted `\r` in an id into `\n`;
+    without a `"` no field is quoted and every `\r` ends a record either
+    way. So is a file that `_reopen_name` declines: a pipe or a name numpy
+    would decompress.
     """
     schema = schema or DatasetSchema.default()
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         id_pos, col_pos = _header_positions(reader, path, schema)
-        name = None if row_ids else _reopen_name(fh, path)
-        if not _fields_fit(path):
+        name = _reopen_name(fh, path)
+        # a small file is read for its quotes only once it is known to be
+        # regular: reading a pipe would drain it
+        fits, unquoted = _scan(path, small_too=row_ids and name is not None)
+        id_pos = id_pos if row_ids else None
+        if not fits:
             parsed = None
-        elif name is None:
-            parsed = _parse_bulk(fh, 0, id_pos if row_ids else None, col_pos)
+        elif name is None or (row_ids and not unquoted):
+            parsed = _parse_bulk(fh, 0, id_pos, col_pos)
         else:
             # line_num counts physical lines, as skiprows does, so a header
             # with a quoted line end is skipped whole
-            parsed = _parse_bulk(name, reader.line_num, None, col_pos)
+            parsed = _parse_bulk(name, reader.line_num, id_pos, col_pos)
     if parsed is not None:
         try:
             # RatingMatrix checks the shape before the range and counts a
@@ -213,25 +224,31 @@ def _header_positions(reader, path, schema: DatasetSchema) -> tuple[int, list[in
     return found[0], found[1:]
 
 
-def _fields_fit(path) -> bool:
-    """False when a field could be longer than `csv.field_size_limit()`,
-    which the loop reports and numpy reads. A file larger than the limit
-    fits only with a line end (`\n` or `\r`, which both end a record) in
-    every run of limit + 1 bytes and no `"`, since a quoted field can span
-    lines."""
+def _scan(path, small_too: bool) -> tuple[bool, bool | None]:
+    """(fits, unquoted) for the file at path, from at most one read of it.
+
+    fits is False when a field could be longer than
+    `csv.field_size_limit()`, which the loop reports and numpy reads.
+    unquoted is True when the file holds no `"` byte, so that no field is
+    quoted. A file larger than the limit is always read: it fits only with
+    a line end (`\n` or `\r`, which both end a record) in every run of
+    limit + 1 bytes and no `"`, since a quoted field can span lines. A
+    smaller file always fits, and is read only when small_too; unread,
+    its unquoted is None."""
     limit = csv.field_size_limit()
-    if os.path.getsize(path) <= limit:
-        return True
+    if os.path.getsize(path) <= limit and not small_too:
+        return True, None
     with open(path, "rb") as fb:
         data = fb.read()
+    unquoted = b'"' not in data
     start = 0
     while len(data) - start > limit:
         end = start + limit + 1
         line_end = max(data.rfind(b"\n", start, end), data.rfind(b"\r", start, end))
         if line_end < 0:
-            return False
+            return False, unquoted
         start = line_end + 1
-    return b'"' not in data
+    return unquoted or len(data) <= limit, unquoted
 
 
 # numpy reads a name with one of these suffixes (case-sensitive) through
@@ -329,6 +346,10 @@ def _numbered(reader):
 
 
 def _rating_matrix(values, row_ids, schema: DatasetSchema) -> RatingMatrix:
+    """values is an array or the rows just parsed; frozen here, an array
+    that owns its data is handed to the matrix without a copy."""
+    values = np.asarray(values, dtype=float)
+    values.setflags(write=False)
     return RatingMatrix(
         values=values,
         row_ids=row_ids,

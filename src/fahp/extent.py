@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AllZeroDegrees, TooFewCriteria
-from .record import Record
+from .record import Record, frozen
 from .tfn import FuzzyComparisonMatrix, Tfn
 
 
@@ -106,12 +106,8 @@ class WeightVector(Record):
             raise ValueError("weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {float(w.sum())!r}")
-        w = w.copy()
-        w.setflags(write=False)
-        d = d.copy()
-        d.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "min_degrees", d)
+        object.__setattr__(self, "weights", frozen(w))
+        object.__setattr__(self, "min_degrees", frozen(d))
         object.__setattr__(self, "labels", tuple(self.labels))
 
     def __len__(self) -> int:

@@ -9,7 +9,7 @@ import numpy as np
 from .consistency import ConsistencyReport
 from .errors import DimensionMismatch, EmptyInput, LengthMismatch
 from .extent import WeightVector
-from .record import Record, replace
+from .record import Record, frozen, replace
 
 AGGREGATES = ("mean", "sum")
 
@@ -26,9 +26,7 @@ class ScoreVector(Record):
             raise ValueError("one score per label required")
         if not np.all(np.isfinite(s)) or np.any(s < 0):
             raise ValueError("scores must be finite and nonnegative")
-        s = s.copy()
-        s.setflags(write=False)
-        object.__setattr__(self, "scores", s)
+        object.__setattr__(self, "scores", frozen(s))
         object.__setattr__(self, "labels", tuple(self.labels))
 
 

@@ -8,6 +8,7 @@ fields through object.__setattr__. Equality, hashing and repr work over
 the field tuple, and assignment or deletion raises AttributeError.
 
 `_fields`, the tuple of field names, is public, as on a namedtuple.
+`frozen` is how a record keeps a numpy array field.
 """
 
 from __future__ import annotations
@@ -87,3 +88,13 @@ def replace(record: Record, /, **changes) -> Record:
     values = {name: getattr(record, name) for name in record._fields}
     values.update(changes)
     return type(record)(**values)
+
+
+def frozen(arr):
+    """The read-only array a record keeps for the numpy array arr: arr
+    itself when it is read-only and owns its data, which its holder thereby
+    hands over, else a read-only copy that no other array can write to."""
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr

@@ -429,7 +429,7 @@ class TestIngestPaths:
         assert load_csv(path, TWO_COL_SCHEMA).shape == (rows, 2)
 
     def test_file_with_cr_line_ends_takes_the_bulk_parse(self, tmp_path, monkeypatch):
-        # larger than the field limit, so _fields_fit scans for line ends
+        # larger than the field limit, so _scan reads it for line ends
         rows = FIELD_LIMIT // 10
         lines = ["id,a,b", *(f"u{i},{i % 17 / 4!r},2.5" for i in range(rows))]
         twin = write(tmp_path, "\n".join(lines) + "\n", name="lf.csv")
@@ -467,10 +467,23 @@ PLAIN_TEXT = 'id,"x\ry",a,b\r\nu1,z,1.25,2.0\r\n"u\r2",z,3.0,0.5\r\n'
 PLAIN_VALUES = np.array([[1.25, 2.0], [3.0, 0.5]]).tobytes()
 
 
+QUOTE_FREE_TEXT = "id,x,a,b\r\nu1,z,1.25,2.0\r\nu2 ,z,3.0,0.5\r\n"
+
+
+def _quote_free_text(rows):
+    """A quote-free ratings text of many records, and its values and ids."""
+    values = [[i % 17 / 4, i % 5 / 2] for i in range(rows)]
+    ids = tuple(f"u{i}" for i in range(rows))
+    lines = ["id,a,b", *(f"{u},{a!r},{b!r}" for u, (a, b) in zip(ids, values))]
+    return "\n".join(lines) + "\n", np.array(values).tobytes(), ids
+
+
 class TestReadByName:
-    """Without ids numpy reads the file by its name; with ids, and for a
-    name numpy would decompress or a file that is not regular, it reads
-    the open handle. Every way gives the same matrix."""
+    """numpy reads a regular file by its name, with or without ids, unless
+    ids are read and the file holds a `"` byte, which could open a quoted
+    field; that file, a name numpy would decompress and a file that is not
+    regular are read from the open handle. Every way gives the same matrix.
+    """
 
     @pytest.fixture
     def loadtxt_sources(self, monkeypatch):
@@ -528,6 +541,57 @@ class TestReadByName:
         m = load_csv(path, TWO_COL_SCHEMA, row_ids=False)
         assert m.values.tobytes() == PLAIN_VALUES
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\n", "\r"])
+    def test_ids_are_read_by_name_without_a_quote(
+        self, tmp_path, monkeypatch, loadtxt_sources, newline
+    ):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, QUOTE_FREE_TEXT.replace("\r\n", newline), name="r.csv")
+        m = load_csv("r.csv", TWO_COL_SCHEMA)
+        assert m.values.tobytes() == PLAIN_VALUES
+        assert m.row_ids == ("u1", "u2")
+        assert loadtxt_sources == [os.path.join(str(tmp_path), "r.csv")]
+
+    def test_any_quote_sends_ids_to_the_handle(self, tmp_path, loadtxt_sources):
+        # one quoted id after the rest (a file over the field limit with a
+        # quote goes to the per-cell loop, ids or not)
+        text, _, ids = _quote_free_text(3)
+        path = write(tmp_path, text + '"u,x",1.0,2.0\n')
+        m = load_csv(path, TWO_COL_SCHEMA)
+        assert m.row_ids == (*ids, "u,x")
+        without_ids = load_csv(path, TWO_COL_SCHEMA, row_ids=False)
+        assert without_ids.values.tobytes() == m.values.tobytes()
+        by_handle, by_name = loadtxt_sources
+        assert not isinstance(by_handle, str)
+        assert by_name == str(path)
+
+    def test_large_quote_free_file_reads_ids_by_name(self, tmp_path, loadtxt_sources):
+        text, values, ids = _quote_free_text(FIELD_LIMIT // 10)
+        path = write(tmp_path, text)
+        assert path.stat().st_size > FIELD_LIMIT
+        m = load_csv(path, TWO_COL_SCHEMA)
+        assert m.values.tobytes() == values
+        assert m.row_ids == ids
+        assert loadtxt_sources == [str(path)]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_pipe_with_ids_is_read_from_the_handle(self, loadtxt_sources):
+        # more than the handle buffers at once and less than the pipe
+        # holds: a read of the pipe by name beside the handle would take
+        # the records past the handle's buffer
+        text, values, ids = _quote_free_text(2000)
+        assert 16384 < len(text) < 65536
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as fw:
+            fw.write(text.encode("utf-8"))
+        try:
+            m = load_csv(f"/dev/fd/{read_end}", TWO_COL_SCHEMA)
+        finally:
+            os.close(read_end)
+        assert m.values.tobytes() == values
+        assert m.row_ids == ids
+        assert len(loadtxt_sources) == 1 and not isinstance(loadtxt_sources[0], str)
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
     def test_pipe_is_read_from_the_handle(self, loadtxt_sources):
         # reopened, a pipe would go on where the first reader's buffer ended
@@ -542,7 +606,89 @@ class TestReadByName:
         assert len(loadtxt_sources) == 1 and not isinstance(loadtxt_sources[0], str)
 
 
+BAD_CELLS = [np.nan, np.inf, -np.inf, -5e-324, -0.5, float(np.nextafter(4.0, 5.0)), 5.0]
+
+
+def first_bad_cell(values, criteria):
+    """The mask-and-argwhere formula of the range check, kept as its
+    oracle: (row, criterion, value) of the first bad cell in row-major
+    order, or None."""
+    bad = ~np.isfinite(values) | (values < 0.0) | (values > 4.0)
+    if not np.any(bad):
+        return None
+    i, j = map(int, np.argwhere(bad)[0])
+    return i + 1, criteria[j], float(values[i, j])
+
+
+@st.composite
+def planted_matrix(draw):
+    """A rows x cols matrix of ratings, -0.0 among them, with zero, one or
+    two bad cells planted at random positions."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(2, 6))
+    good = st.one_of(st.floats(0.0, 4.0), st.sampled_from([-0.0, 0.0, 4.0]))
+    values = np.array(draw(st.lists(good, min_size=rows * cols, max_size=rows * cols)))
+    for _ in range(draw(st.integers(0, 2))):
+        values[draw(st.integers(0, rows * cols - 1))] = draw(st.sampled_from(BAD_CELLS))
+    return values.reshape(rows, cols)
+
+
 class TestRatingMatrix:
+    @given(values=planted_matrix())
+    @settings(max_examples=300, deadline=None)
+    def test_range_check_names_the_first_bad_cell(self, values):
+        criteria = tuple(f"C{j}" for j in range(values.shape[1]))
+        want = first_bad_cell(values, criteria)
+        if want is None:
+            m = RatingMatrix(values=values, row_ids=None, criteria=criteria)
+            assert m.values.tobytes() == values.tobytes()
+            return
+        with pytest.raises(OutOfRange) as err:
+            RatingMatrix(values=values, row_ids=None, criteria=criteria)
+        got = (err.value.row, err.value.column, err.value.value)
+        # repr, so that a NaN equals a NaN
+        assert repr(got) == repr(want)
+
+    def test_negative_zero_is_in_range(self):
+        values = np.array([[-0.0, 4.0], [0.0, -0.0]])
+        m = RatingMatrix(values=values, row_ids=None, criteria=("A", "B"))
+        assert m.values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize(
+        "given_values",
+        [
+            lambda arr: arr,
+            lambda arr: arr[:, :],
+            lambda arr: arr.T.T,
+            lambda arr: _read_only(arr.view()),
+        ],
+        ids=["array", "view", "transposed-view", "read-only-view"],
+    )
+    def test_caller_writes_do_not_reach_the_matrix(self, given_values):
+        arr = np.array([[1.0, 2.0], [3.0, 4.0]])
+        m = RatingMatrix(values=given_values(arr), row_ids=None, criteria=("A", "B"))
+        arr[0, 0] = 0.5
+        assert m.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert not np.shares_memory(m.values, arr)
+
+    def test_read_only_array_owning_its_data_is_taken_as_is(self):
+        arr = _read_only(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        m = RatingMatrix(values=arr, row_ids=None, criteria=("A", "B"))
+        assert m.values is arr
+
+    @pytest.mark.parametrize("row_ids", [True, False])
+    @pytest.mark.parametrize("path", ["bulk", "loop"])
+    def test_loaded_values_are_read_only_and_own_their_data(
+        self, tmp_path, monkeypatch, row_ids, path
+    ):
+        csv_path = write(tmp_path, QUOTE_FREE_TEXT)
+        if path == "loop":
+            monkeypatch.setattr(dataset, "_parse_bulk", lambda *args: None)
+        m = load_csv(csv_path, TWO_COL_SCHEMA, row_ids=row_ids)
+        assert m.values.tobytes() == PLAIN_VALUES
+        assert not m.values.flags.writeable
+        # with ids, a copy apart from the table that holds the ids
+        assert m.values.flags.owndata and m.values.flags.c_contiguous
+
     def test_values_frozen(self):
         m = RatingMatrix(
             values=np.array([[1.0, 2.0]]), row_ids=("u1",), criteria=("A", "B")
@@ -574,6 +720,11 @@ class TestRatingMatrix:
             RatingMatrix(values=values, row_ids=("u1",), criteria=("A", "B"))
         m = RatingMatrix(values=values, row_ids=None, criteria=("A", "B"))
         assert m.row_ids is None
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
 
 
 class TestColumnMeans:

@@ -73,3 +73,75 @@ def test_values_frozen():
     n = normalize(rating([[1.0, 2.0]]))
     with pytest.raises(ValueError):
         n.values[0, 0] = 0.5
+
+
+@pytest.mark.parametrize(
+    "values, maxima",
+    [
+        # accepted before: every comparison with a NaN is False
+        ([[np.nan, 0.5], [1.0, 1.0]], [1.0, 1.0]),
+        ([[1.0, 0.5], [1.0, 1.0]], [np.nan, 1.0]),
+        ([[1.0, 0.5], [1.0, 1.0]], [np.inf, 1.0]),
+        ([[1.0, 0.5], [1.0, 1.0]], [-1.0, 1.0]),
+    ],
+    ids=["nan-cell", "nan-max", "inf-max", "negative-max"],
+)
+def test_normalized_matrix_rejects_nan_and_bad_maxima(values, maxima):
+    with pytest.raises(ValueError):
+        NormalizedMatrix(
+            values=np.array(values), criteria=("a", "b"), column_max_used=np.array(maxima)
+        )
+
+
+def test_caller_writes_do_not_reach_the_matrix():
+    values = np.array([[0.5, 1.0], [1.0, 0.25]])
+    maxima = np.array([2.0, 4.0])
+    n = NormalizedMatrix(values=values[:, :], criteria=("A", "B"), column_max_used=maxima)
+    values[0, 0] = 0.0
+    maxima[0] = 1.0
+    assert n.values.tolist() == [[0.5, 1.0], [1.0, 0.25]]
+    assert n.column_max_used.tolist() == [2.0, 4.0]
+
+
+def test_normalized_arrays_are_new_and_read_only():
+    m = rating([[1.0, 2.0], [3.0, 0.0]])
+    for n in (normalize(m), normalize(normalize(m))):
+        for arr in (n.values, n.column_max_used):
+            assert not arr.flags.writeable
+            assert not np.shares_memory(arr, m.values)
+    assert not m.values.flags.writeable
+
+
+def masked_normalize(values):
+    """The masked divide saw_normalize replaced, kept as its oracle."""
+    arr = np.asarray(values, dtype=float)
+    col_max = arr.max(axis=0)
+    out = np.zeros_like(arr)
+    np.divide(arr, col_max, out=out, where=col_max > 0)
+    return out, col_max
+
+
+def test_negative_zero_bits():
+    # column 0 peaks at 0, column 1 at 2
+    values = np.array([[-0.0, -0.0], [0.0, 2.0], [-0.0, 1.0]])
+    out, used = saw_normalize(values)
+    assert np.signbit(out[:, 0]).tolist() == [False, False, False]
+    assert np.signbit(out[:, 1]).tolist() == [True, False, False]
+    assert out.tolist() == [[0.0, -0.0], [0.0, 1.0], [0.0, 0.5]]
+    want, want_used = masked_normalize(values)
+    assert out.tobytes() == want.tobytes()
+    assert used.tobytes() == want_used.tobytes()
+
+
+def test_single_divide_matches_the_masked_divide():
+    rng = np.random.default_rng(24)
+    for _ in range(50):
+        values = rng.uniform(0, 4, size=(9, 6))
+        # zero columns, and signed zeros in any column
+        values[:, rng.random(6) < 0.3] = 0.0
+        values[rng.random((9, 6)) < 0.2] *= 0.0
+        values[rng.random((9, 6)) < 0.2] = -0.0
+        out, used = saw_normalize(values)
+        want, want_used = masked_normalize(values)
+        assert out.tobytes() == want.tobytes()
+        assert used.tobytes() == want_used.tobytes()
