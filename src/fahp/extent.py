@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import AllZeroDegrees, TooFewCriteria
 from .record import Record, frozen
-from .tfn import FuzzyComparisonMatrix, Tfn
+from .tfn import ROW_TABLE, FuzzyComparisonMatrix, Tfn
 
 
 def synthetic_extents(f: FuzzyComparisonMatrix) -> np.ndarray:
@@ -28,12 +28,11 @@ def synthetic_extents(f: FuzzyComparisonMatrix) -> np.ndarray:
     time, left to right: the order in which `f.values.sum(axis=1)` adds,
     so the sums are bit-identical to it without the (n, n, 3) gather.
     """
-    table = f.table.row_table
     columns = f.codes.T.copy()
-    sums = table[columns[0]]
+    sums = ROW_TABLE[columns[0]]
     gathered = np.empty_like(sums)
     for column in columns[1:]:
-        table.take(column, axis=0, out=gathered)
+        ROW_TABLE.take(column, axis=0, out=gathered)
         sums += gathered
     total = sums.sum(axis=0)
     return sums / total[::-1]

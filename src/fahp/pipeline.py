@@ -32,7 +32,8 @@ from .ranking import (
 )
 from .record import Record, replace
 from .reference import reference_scores
-from .tfn import FuzzyComparisonMatrix, default_scale_table, fuzzify
+# default_scale_table is unused here, but perfbench/spans.py traces it by this name
+from .tfn import FuzzyComparisonMatrix, default_scale_table, fuzzify  # noqa: F401
 
 MODES = ("standard", "paper_compat")
 
@@ -159,7 +160,7 @@ def add_extents(partial: PipelineResult) -> PipelineResult:
     gate is applied, so the fuzzy and extents dumps call this straight
     after run_to_comparison."""
     with _stage("fuzzify"):
-        fuzzy = fuzzify(partial.comparison, default_scale_table())
+        fuzzy = fuzzify(partial.comparison)
     with _stage("extents"):
         extents = synthetic_extents(fuzzy)
     return replace(partial, fuzzy=fuzzy, extents=extents)

@@ -2,21 +2,19 @@
 
 A triangular fuzzy number (TFN) is a triple (l, m, u) with l <= m <= u:
 membership rises linearly from 0 at l to 1 at m and falls back to 0 at u.
-The scale table maps each Saaty intensity 1..9 to a TFN pair: the direct
-("real") group used when a criterion dominates, and the inverse group,
-always the reciprocal (1/u, 1/m, 1/l) of the direct row.
+The one comparative scale maps each Saaty intensity 1..9 to a TFN pair:
+the direct ("real") group used when a criterion dominates, and the inverse
+group, always the reciprocal (1/u, 1/m, 1/l) of the direct row. Both are
+module constants, built once at import.
 
 A fuzzified comparison matrix is held as an n x n matrix of scale-row
-codes: code k - 1 is the direct row of intensity k and code size + k - 1
-its inverse row, so every entry is one of the table's 2 * size rows.
+codes: code k - 1 is the direct row of intensity k and code 9 + k - 1 its
+inverse row, so every entry is one of the 18 rows of ROW_TABLE.
 Reciprocity is then an integer identity on the codes, and the (n, n, 3)
 float form is only gathered when something prints it.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -63,129 +61,62 @@ _DIRECT_ROWS = (
     ((7, 2), (4, 1), (9, 2)),
 )
 
+# the direct and the inverse TFN of each intensity, in intensity order
+_REAL = tuple(Tfn(*(p / q for p, q in row)) for row in _DIRECT_ROWS)
+_INVERSE = tuple(Tfn(*(q / p for p, q in reversed(row))) for row in _DIRECT_ROWS)
 
-class ScaleTable(Record):
-    """Intensity (1..len) to (direct TFN, inverse TFN) lookup.
+# Read-only (18, 3) array that scale-row codes index: the direct rows of
+# intensity 1..9, then the inverse rows in the same order.
+ROW_TABLE = np.array([tfn.as_tuple() for tfn in _REAL + _INVERSE])
+ROW_TABLE.setflags(write=False)
 
-    The table is plain data so alternative fuzzifications of the Saaty
-    scale can be swapped in; the default divides the pairs of `_DIRECT_ROWS`.
-    """
+# Read-only map from the code of an entry to the code its transposed entry
+# must have. Direct intensity k >= 2 and its inverse swap. Just-equal is
+# always the direct code 0, its own mirror; the inverse code of intensity
+# 1, never emitted, maps to 0 too, so no matrix that holds it passes.
+MIRROR = (np.arange(len(ROW_TABLE), dtype=np.uint8) + len(_REAL)) % len(ROW_TABLE)
+MIRROR[0] = 0
+MIRROR.setflags(write=False)
 
-    rows: tuple[tuple[Tfn, Tfn], ...]
 
-    def __post_init__(self):
-        if not self.rows:
-            raise ValueError("scale table has no rows")
-        # the diagonal of every fuzzy matrix is the intensity-1 direct row
-        if self.rows[0][0].as_tuple() != (1.0, 1.0, 1.0):
-            raise ValueError("intensity 1: the direct row must be (1, 1, 1)")
-        prev_m = None
-        for k, (real, inverse) in enumerate(self.rows, start=1):
-            if real.l <= 0 or inverse.l <= 0:
-                raise ValueError(f"intensity {k}: scale TFNs need l > 0")
-            # the loop oracle sums the bounds exactly as integer ratios
-            if not np.isfinite(real.as_tuple() + inverse.as_tuple()).all():
-                raise ValueError(f"intensity {k}: scale TFNs need finite bounds")
-            expected = real.reciprocal()
-            off = max(
-                abs(inverse.l - expected.l),
-                abs(inverse.m - expected.m),
-                abs(inverse.u - expected.u),
-            )
-            if off > 1e-15:
-                raise ValueError(
-                    f"intensity {k}: inverse row is not the reciprocal "
-                    f"of the direct row (off by {off:.3e})"
-                )
-            # modal values climb from intensity 2 upward; the first
-            # "intermediate" row legitimately dips under the just-equal 1
-            if k > 2 and real.m < prev_m:
-                raise ValueError(
-                    f"intensity {k}: direct modal values must be nondecreasing"
-                )
-            prev_m = real.m
+def _row(intensity: int) -> int:
+    if not 1 <= intensity <= len(_REAL):
+        raise UnknownIntensity(intensity)
+    return intensity - 1
 
-    def __len__(self) -> int:
-        return len(self.rows)
 
-    def __iter__(self) -> Iterator[tuple[int, Tfn, Tfn]]:
-        for k, (real, inverse) in enumerate(self.rows, start=1):
-            yield k, real, inverse
-
-    @cached_property
-    def row_table(self) -> np.ndarray:
-        """Read-only (2 * len, 3) array that scale-row codes index: the
-        direct rows of intensity 1..len, then the inverse rows in the
-        same order."""
-        table = np.array(
-            [real.as_tuple() for real, _ in self.rows]
-            + [inverse.as_tuple() for _, inverse in self.rows]
-        )
-        table.setflags(write=False)
-        return table
-
-    @cached_property
-    def mirror(self) -> np.ndarray:
-        """Read-only map from the code of an entry to the code its
-        transposed entry must have. Direct intensity k >= 2 and its
-        inverse swap. Just-equal is always the direct code 0, its own
-        mirror; the inverse code of intensity 1, never emitted, maps to 0
-        too, so no matrix that holds it passes the check."""
-        size = len(self.rows)
-        codes = np.arange(2 * size, dtype=self.code_dtype)
-        mirror = np.concatenate([codes[size:], codes[:size]])
-        mirror[0] = 0
-        mirror.setflags(write=False)
-        return mirror
-
-    @property
-    def code_dtype(self) -> np.dtype:
-        """Smallest unsigned integer type that holds every row code."""
-        return np.min_scalar_type(2 * len(self.rows) - 1)
+class _Scale:
+    """The comparative scale looked up by Saaty intensity 1..9."""
 
     def real(self, intensity: int) -> Tfn:
-        if not 1 <= intensity <= len(self.rows):
-            raise UnknownIntensity(intensity)
-        return self.rows[intensity - 1][0]
+        """The direct TFN, used where a criterion dominates."""
+        return _REAL[_row(intensity)]
 
     def inverse(self, intensity: int) -> Tfn:
-        if not 1 <= intensity <= len(self.rows):
-            raise UnknownIntensity(intensity)
-        return self.rows[intensity - 1][1]
-
-    @classmethod
-    def default(cls) -> "ScaleTable":
-        rows = []
-        for l, m, u in _DIRECT_ROWS:
-            real = Tfn(l[0] / l[1], m[0] / m[1], u[0] / u[1])
-            inverse = Tfn(u[1] / u[0], m[1] / m[0], l[1] / l[0])
-            rows.append((real, inverse))
-        return cls(rows=tuple(rows))
+        """The reciprocal (1/u, 1/m, 1/l) of the direct TFN."""
+        return _INVERSE[_row(intensity)]
 
 
-_DEFAULT_TABLE: ScaleTable | None = None
+_SCALE = _Scale()
 
 
-def default_scale_table() -> ScaleTable:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = ScaleTable.default()
-    return _DEFAULT_TABLE
+def default_scale_table() -> _Scale:
+    """The one comparative scale that every run uses."""
+    return _SCALE
 
 
 class FuzzyComparisonMatrix(Record):
     """n x n matrix of TFNs, reciprocal across the diagonal, held as codes.
 
-    codes index the rows of table.row_table (see the module docstring).
-    The one check, codes.T == table.mirror[codes] over the whole matrix,
-    also pins every diagonal code to 0, the (1, 1, 1) row, and refuses
-    the inverse code of intensity 1, which fuzzify never emits: 0 is the
-    only code that is its own mirror. ScaleTable holds every row to be a
-    TFN with l > 0 and every inverse row to be the reciprocal of its
-    direct row, so codes that pass give finite, ordered, positive,
-    reciprocal floats. Where two codes share a row the check is stricter
-    than a float one: 3 at both (i, j) and (j, i) is refused, although
-    (2/3, 1, 3/2) is its own reciprocal.
+    codes index the rows of ROW_TABLE (see the module docstring). The
+    one check, codes.T == MIRROR[codes] over the whole matrix, also pins
+    every diagonal code to 0, the (1, 1, 1) row, and refuses the inverse
+    code of intensity 1, which fuzzify never emits: 0 is the only code
+    that is its own mirror. Every row of ROW_TABLE is a TFN with l > 0 and
+    every inverse row the reciprocal of its direct row, so codes that pass
+    give finite, ordered, positive, reciprocal floats. Where two codes
+    share a row the check is stricter than a float one: 3 at both (i, j)
+    and (j, i) is refused, although (2/3, 1, 3/2) is its own reciprocal.
 
     values, the (n, n, 3) floats with the last axis ordered (l, m, u), is
     a gather on each access, not stored: only the fuzzy dump and the demos
@@ -193,7 +124,6 @@ class FuzzyComparisonMatrix(Record):
     """
 
     codes: np.ndarray
-    table: ScaleTable
 
     def __post_init__(self):
         codes = np.asarray(self.codes)
@@ -201,11 +131,10 @@ class FuzzyComparisonMatrix(Record):
             raise ValueError(f"expected a non-empty (n, n) code matrix, got {codes.shape}")
         if codes.dtype.kind not in "iu":
             raise ValueError(f"codes must be integers, got {codes.dtype}")
-        size = len(self.table)
-        if codes.min() < 0 or codes.max() >= 2 * size:
-            raise ValueError(f"codes must lie in 0..{2 * size - 1}")
-        codes = codes.astype(self.table.code_dtype)
-        mirrored = self.table.mirror[codes]
+        if codes.min() < 0 or codes.max() >= len(MIRROR):
+            raise ValueError(f"codes must lie in 0..{len(MIRROR) - 1}")
+        codes = codes.astype(MIRROR.dtype)
+        mirrored = MIRROR[codes]
         if not np.array_equal(codes.T, mirrored):
             i, j = np.argwhere(codes.T != mirrored)[0]
             raise ValueError(
@@ -222,10 +151,10 @@ class FuzzyComparisonMatrix(Record):
     @property
     def values(self) -> np.ndarray:
         """The entries as an (n, n, 3) float array, gathered on each call."""
-        return self.table.row_table[self.codes]
+        return ROW_TABLE[self.codes]
 
 
-def fuzzify(comparison, table: ScaleTable | None = None) -> FuzzyComparisonMatrix:
+def fuzzify(comparison) -> FuzzyComparisonMatrix:
     """Replace each crisp comparison entry by the code of its scale row.
 
     Entries above 1 use the direct group, entries below 1 the inverse
@@ -234,8 +163,7 @@ def fuzzify(comparison, table: ScaleTable | None = None) -> FuzzyComparisonMatri
     reciprocal within 1e-9 raise NonScaleEntry, naming the first such
     entry in row-major order.
     """
-    table = table or default_scale_table()
-    size = len(table)
+    size = len(_REAL)
     # the diagonal is never matched: pin it to 1 so it indexes a valid row
     entries = np.array(comparison.entries, dtype=float)
     np.fill_diagonal(entries, 1.0)
@@ -255,7 +183,7 @@ def fuzzify(comparison, table: ScaleTable | None = None) -> FuzzyComparisonMatri
         raise NonScaleEntry(int(i), int(j), float(entries[i, j]))
     # codes 0..size-1 are the direct group, then the inverse group in the
     # same intensity order; an inverse match of intensity 1 keeps code 0
-    codes = k.astype(table.code_dtype)
+    codes = k.astype(MIRROR.dtype)
     codes -= 1
     np.add(codes, size, out=codes, where=inverse & (codes > 0))
-    return FuzzyComparisonMatrix(codes=codes, table=table)
+    return FuzzyComparisonMatrix(codes=codes)

@@ -207,11 +207,11 @@ SHAPES = ["full"] * 6 + ["blank", "spaces", "short", "long"]
 
 
 @st.composite
-def cell_text(draw, dirty):
+def cell_text(draw, dirty, quoted):
     tokens = CLEAN_TOKENS + LOOP_TOKENS + DIRTY_TOKENS if dirty else CLEAN_TOKENS
     pads = st.sampled_from(CLEAN_PADS + DIRTY_PADS if dirty else CLEAN_PADS)
     text = draw(pads) + draw(st.sampled_from(tokens)) + draw(pads)
-    if draw(st.booleans()):
+    if quoted and draw(st.booleans()):
         text = '"' + text.replace('"', '""') + '"'
         if dirty and draw(st.booleans()):
             # padding outside the quotes keeps them in the cell text
@@ -224,19 +224,22 @@ def ratings_csv(draw):
     """Bytes of a ratings CSV for THREE_COL_SCHEMA. One file in two is
     clean apart from padding, quoting and odd ids; the rest mix in dirty
     cells, blank, short, over-long and oversized records, and stray
-    undecodable bytes."""
+    undecodable bytes. Independently, one file in two quotes nothing."""
     dirty = draw(st.booleans())
+    # one file in two holds no '"' byte, so its ids are read by name
+    quoted = draw(st.booleans())
     header = draw(st.permutations(["id", "a", "b", "c", "x"]))
     # a quoted line end in an unused header cell
-    unused = draw(st.sampled_from(["x", '"x\ny"', '"x\ry"']))
+    unused = draw(st.sampled_from(["x", '"x\ny"', '"x\ry"'] if quoted else ["x"]))
+    id_cells = ID_CELLS if quoted else [cell for cell in ID_CELLS if '"' not in cell]
     records = [",".join(unused if name == "x" else name for name in header)]
     for i in range(draw(st.integers(0, 12))):
         shape = draw(st.sampled_from(SHAPES)) if dirty else "full"
         if shape == "full":
             cells = [
-                draw(st.sampled_from(ID_CELLS)).format(i=i)
+                draw(st.sampled_from(id_cells)).format(i=i)
                 if name == "id"
-                else draw(cell_text(dirty))
+                else draw(cell_text(dirty, quoted))
                 for name in header
             ]
             records.append(",".join(cells))
@@ -245,13 +248,14 @@ def ratings_csv(draw):
         elif shape == "spaces":
             records.append(draw(st.sampled_from([" ", " , ,", "\t"])))
         elif shape == "short":
-            cells = [draw(cell_text(dirty)) for _ in header]
+            cells = [draw(cell_text(dirty, quoted)) for _ in header]
             records.append(",".join(cells[: draw(st.integers(1, len(header) - 1))]))
         else:
-            cells = [draw(cell_text(dirty)) for _ in range(len(header) + 2)]
+            cells = [draw(cell_text(dirty, quoted)) for _ in range(len(header) + 2)]
             records.append(",".join(cells))
     if dirty and draw(st.integers(0, 3)) == 0:
-        column, field = draw(st.sampled_from(OVERSIZED))
+        oversized = OVERSIZED if quoted else [o for o in OVERSIZED if '"' not in o[1]]
+        column, field = draw(st.sampled_from(oversized))
         cells = [field if name == column else "1" for name in header]
         records.insert(draw(st.integers(1, len(records))), ",".join(cells))
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))

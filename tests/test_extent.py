@@ -15,7 +15,6 @@ from fahp import (
     Tfn,
     TooFewCriteria,
     WeightVector,
-    default_scale_table,
     fuzzify,
     min_degrees,
     possibility,
@@ -52,9 +51,8 @@ def summed_extents(f):
 
 
 def assert_fold_is_bit_equal(n, seed):
-    table = default_scale_table()
-    codes = random_codes(np.random.default_rng(seed), n, table)
-    f = FuzzyComparisonMatrix(codes=codes, table=table)
+    codes = random_codes(np.random.default_rng(seed), n)
+    f = FuzzyComparisonMatrix(codes=codes)
     assert synthetic_extents(f).tobytes() == summed_extents(f).tobytes()
 
 

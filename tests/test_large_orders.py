@@ -10,7 +10,6 @@ import pytest
 
 import oracle
 from fahp import (
-    ScaleTable,
     build_comparison,
     fuzzify,
     lambda_max,
@@ -57,5 +56,5 @@ def test_built_in_oracle_matches_the_per_entry_loop(n, tied):
     # the property stops at 60 criteria; here each row counts hundreds of
     # cells, and the per-entry loop sums them one float at a time
     entries = oracle.mean_gap(draw_means(7000 + n, n, tied))
-    expected = loop_reference_weights(entries, ScaleTable.default())
+    expected = loop_reference_weights(entries)
     assert np.array(reference_weights(entries)).tobytes() == np.array(expected).tobytes()

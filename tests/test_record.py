@@ -13,7 +13,6 @@ from fahp import (
     DatasetSchema,
     RankRow,
     RunConfig,
-    default_scale_table,
 )
 from fahp import cli
 from fahp.record import Record, replace
@@ -93,14 +92,6 @@ class TestFrozen:
         with pytest.raises(AttributeError, match="frozen"):
             del config.mse_tol
         assert config.mse_tol == 1e-3
-
-    def test_cached_property_on_a_frozen_record(self):
-        table = default_scale_table()
-        rows = table.row_table
-        assert table.row_table is rows
-        assert rows.shape == (2 * len(table), 3)
-        assert not rows.flags.writeable
-        assert table.mirror is table.mirror
 
 
 class TestValue:
@@ -220,5 +211,5 @@ def test_no_exported_class_is_a_dataclass():
         if isinstance(getattr(fahp, name), type)
     ]
     records = [cls for cls in classes if issubclass(cls, Record)]
-    assert len(records) == 15
+    assert len(records) == 14
     assert not [cls for cls in classes if dataclasses.is_dataclass(cls)]

@@ -17,8 +17,6 @@ import oracle
 from conftest import REPO_ROOT
 from fahp import (
     NonScaleEntry,
-    ScaleTable,
-    Tfn,
     build_comparison,
     column_means,
     fuzzify,
@@ -26,7 +24,7 @@ from fahp import (
     reference_scores,
     reference_weights,
 )
-from fahp.reference import _exact_bounds
+from fahp.reference import _DEN, _NUMERATORS
 
 # mild preferences, so every criterion keeps a non-zero weight
 ENTRIES = [[1.0, 2.0, 3.0], [0.5, 1.0, 2.0], [1.0 / 3.0, 0.5, 1.0]]
@@ -112,21 +110,22 @@ def test_unknown_aggregate_is_refused():
         reference_scores(columns, ENTRIES, aggregate="median")
 
 
-def loop_lookup(value, table, i, j):
+def loop_lookup(value, i, j):
+    """The entry's scale row, read off the Fraction scale of tests/oracle.py."""
     if value >= 1.0:
         k = int(round(value))
-        if 1 <= k <= len(table) and abs(value - k) <= 1e-9:
-            return table.real(k).as_tuple()
+        if k in oracle.SCALE and abs(value - k) <= 1e-9:
+            return oracle.scale_real(k)
         raise NonScaleEntry(i, j, value)
     if value > 0.0:
         k = int(round(1.0 / value))
-        if 1 <= k <= len(table) and abs(value - 1.0 / k) <= 1e-9:
-            return table.inverse(k).as_tuple()
+        if k in oracle.SCALE and abs(value - 1.0 / k) <= 1e-9:
+            return oracle.scale_inverse(k)
     raise NonScaleEntry(i, j, value)
 
 
-def loop_reference_weights(comparison_entries, table):
-    """The weight chain as a plain loop: one table lookup per entry, the
+def loop_reference_weights(comparison_entries):
+    """The weight chain as a plain loop: one scale lookup per entry, the
     full fuzzy matrix kept, every pair visited in the degree loop."""
     n = len(comparison_entries)
 
@@ -137,7 +136,7 @@ def loop_reference_weights(comparison_entries, table):
             if i == j:
                 row.append((1.0, 1.0, 1.0))
             else:
-                row.append(loop_lookup(float(comparison_entries[i][j]), table, i, j))
+                row.append(loop_lookup(float(comparison_entries[i][j]), i, j))
         fuzzy.append(row)
 
     row_sums = []
@@ -172,15 +171,6 @@ def loop_reference_weights(comparison_entries, table):
     return [d / total for d in degrees]
 
 
-def spread_table(size, spread):
-    """A scale of `size` intensities with (k - spread, k, k + spread) rows."""
-    rows = [(Tfn(1.0, 1.0, 1.0), Tfn(1.0, 1.0, 1.0))]
-    for k in range(2, size + 1):
-        l, m, u = k - spread, float(k), k + spread
-        rows.append((Tfn(l, m, u), Tfn(1.0 / u, 1.0 / m, 1.0 / l)))
-    return ScaleTable(rows=tuple(rows))
-
-
 # entries the scale never matches, and entries 1e-10 either side of a match
 OFF_SCALE = [2.5, 0.4, 10.0, 0.1, 0.0, -0.0, -3.0, float("nan"), 9.0 + 2e-9, 1 / 3 - 2e-9]
 NEAR = [3.0 + 1e-10, 3.0 - 1e-10, 0.5 + 1e-10, 0.5 - 1e-10, 1 / 9 + 1e-10, 9.0 - 1e-10]
@@ -210,38 +200,38 @@ def saaty_matrices(draw):
     return entries
 
 
-TABLES = [None, spread_table(9, 0.5), spread_table(5, 0.25)]
-
-
-@given(entries=saaty_matrices(), table=st.sampled_from(TABLES))
+@given(entries=saaty_matrices())
 @settings(max_examples=300, deadline=None)
-def test_weights_match_the_per_entry_loop(entries, table):
+def test_weights_match_the_per_entry_loop(entries):
     try:
-        expected = loop_reference_weights(entries, table or ScaleTable.default())
+        expected = loop_reference_weights(entries)
     except NonScaleEntry as err:
         with pytest.raises(NonScaleEntry) as got:
-            reference_weights(entries, table)
+            reference_weights(entries)
         assert (got.value.i, got.value.j) == (err.i, err.j)
         assert np.float64(got.value.value).tobytes() == np.float64(err.value).tobytes()
         return
-    weights = reference_weights(entries, table)
+    weights = reference_weights(entries)
     assert np.array(weights).tobytes() == np.array(expected).tobytes()
 
 
-@given(table=st.sampled_from(TABLES), data=st.data())
+@given(data=st.data())
 @settings(max_examples=200, deadline=None)
-def test_integer_row_sums_equal_fsum(table, data):
-    table = table or ScaleTable.default()
-    den, numerators = _exact_bounds(table)
-    rows = [tfn.as_tuple() for _, real, inverse in table for tfn in (real, inverse)]
-    for row in rows:
-        assert [Fraction(num, den) for num in numerators[row]] == [Fraction(x) for x in row]
+def test_integer_row_sums_equal_fsum(data):
+    # every scale row, direct then inverse, as floats of the Fraction scale
+    keys = [(k, False) for k in oracle.SCALE] + [(k, True) for k in oracle.SCALE]
+    assert sorted(_NUMERATORS) == sorted(keys)
+    rows = [oracle.scale_real(k) for k in oracle.SCALE]
+    rows += [oracle.scale_inverse(k) for k in oracle.SCALE]
+    numerators = [_NUMERATORS[key] for key in keys]
+    for row, exact in zip(rows, numerators):
+        assert [Fraction(num, _DEN) for num in exact] == [Fraction(x) for x in row]
     # rows[0] is the diagonal's (1, 1, 1): every row sum holds it at least once
     counts = [data.draw(st.integers(1, 5000))]
     others = st.lists(st.integers(0, 5000), min_size=len(rows) - 1, max_size=len(rows) - 1)
     counts += data.draw(others)
     for c in range(3):
-        exact = sum(count * numerators[row][c] for row, count in zip(rows, counts)) / den
+        exact = sum(count * nums[c] for nums, count in zip(numerators, counts)) / _DEN
         cells = itertools.chain.from_iterable([row[c]] * count for row, count in zip(rows, counts))
         assert np.float64(exact).tobytes() == np.float64(math.fsum(cells)).tobytes()
 
@@ -305,9 +295,9 @@ def test_diagonal_is_never_looked_up():
 
 
 # the second oracle recomputes the weights without the library's kernels;
-# the scale table is shared as data only
+# it reads the scale's TFNs as data only, never the kernel's gathered table
 FORBIDDEN_MODULES = ("numpy", "fahp.extent", "fahp.consistency", "fahp.pipeline")
-TFN_DATA_NAMES = {"ScaleTable", "default_scale_table"}
+TFN_DATA_NAMES = {"default_scale_table"}
 
 
 def _imported(tree):
@@ -354,6 +344,8 @@ def test_reference_imports_no_kernel_code():
         "from fahp.pipeline import run",
         "import fahp.extent",
         "from .tfn import fuzzify",
+        "from .tfn import ROW_TABLE",
+        "from .tfn import MIRROR",
     ],
 )
 def test_import_guard_catches(line):

@@ -1,4 +1,4 @@
-"""TFN arithmetic, the comparative scale table, and fuzzification."""
+"""TFN arithmetic, the comparative scale, and fuzzification."""
 
 import numpy as np
 import pytest
@@ -6,18 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import random_codes
+from conftest import emitted_codes, random_codes
 from fahp import (
     ComparisonMatrix,
     FuzzyComparisonMatrix,
     NonPositiveSupport,
     NonScaleEntry,
-    ScaleTable,
     Tfn,
     UnknownIntensity,
     default_scale_table,
     fuzzify,
 )
+from fahp.tfn import MIRROR, ROW_TABLE
 
 
 class TestTfn:
@@ -63,62 +63,65 @@ class TestScaleTable:
 
     def test_reciprocal_coherence_all_rows(self):
         table = default_scale_table()
-        for k, real, inverse in table:
-            expected = real.reciprocal()
+        for k in range(1, 10):
+            expected = table.real(k).reciprocal()
+            inverse = table.inverse(k)
             assert abs(inverse.l - expected.l) <= 1e-15, k
             assert abs(inverse.m - expected.m) <= 1e-15, k
             assert abs(inverse.u - expected.u) <= 1e-15, k
 
     def test_every_bound_is_the_float_of_the_exact_fraction(self):
-        # the default table divides small integers; the oracle's scale is
-        # Fraction, and both must give the same 54 floats
+        # the scale divides small integers; the oracle's scale is Fraction,
+        # and both must give the same 54 floats: ROW_TABLE holds the direct
+        # rows, then their exact reciprocals, in the order codes index them
         table = default_scale_table()
-        assert len(table) == len(oracle.SCALE)
-        for k, real, inverse in table:
-            assert real.as_tuple() == oracle.scale_real(k), k
-            assert inverse.as_tuple() == oracle.scale_inverse(k), k
+        expected = [oracle.scale_real(k) for k in oracle.SCALE]
+        expected += [oracle.scale_inverse(k) for k in oracle.SCALE]
+        assert ROW_TABLE.dtype == np.float64
+        assert ROW_TABLE.tobytes() == np.array(expected).tobytes()
+        for k in oracle.SCALE:
+            assert table.real(k).as_tuple() == oracle.scale_real(k), k
+            assert table.inverse(k).as_tuple() == oracle.scale_inverse(k), k
+
+    def test_rows_are_positive_ordered_and_climb(self):
+        # what the kernels rely on, read off the Fraction scale that
+        # ROW_TABLE is bit-equal to: finite positive bounds, l <= m <= u,
+        # and direct modal values that climb from intensity 2 (the first
+        # "intermediate" row legitimately dips under the just-equal 1)
+        direct = [oracle.SCALE[k] for k in oracle.SCALE]
+        for l, m, u in direct + [(1 / u, 1 / m, 1 / l) for l, m, u in direct]:
+            assert 0 < l <= m <= u
+        modal = [m for _, m, _ in direct[1:]]
+        assert modal == sorted(modal)
+        assert np.isfinite(ROW_TABLE).all()
 
     def test_unknown_intensity(self):
+        # a bare tuple index would take 0 and -1 silently
         table = default_scale_table()
-        with pytest.raises(UnknownIntensity):
-            table.real(0)
-        with pytest.raises(UnknownIntensity):
-            table.inverse(10)
-
-    def test_incoherent_table_rejected(self):
-        with pytest.raises(ValueError):
-            ScaleTable(rows=((Tfn(1, 2, 3), Tfn(1, 2, 3)),))
-
-    def test_rejects_disordered_components(self):
-        # no row of a table, hence no entry of a fuzzy matrix, can have
-        # l > m or m > u
-        with pytest.raises(ValueError, match="not a valid TFN"):
-            ScaleTable(
-                rows=(
-                    (Tfn(1, 1, 1), Tfn(1, 1, 1)),
-                    (Tfn(2.5, 2.0, 1.5), Tfn(1 / 1.5, 0.5, 0.4)),
-                )
-            )
-
-    def test_rejects_an_infinite_bound(self):
-        # 1 / 1e-320 overflows: the inverse row's u would be inf
-        direct = Tfn(1e-320, 0.75, 1.0)
-        with pytest.raises(ValueError, match="intensity 2: scale TFNs need finite bounds"):
-            ScaleTable(rows=((Tfn(1, 1, 1), Tfn(1, 1, 1)), (direct, direct.reciprocal())))
+        for intensity in (0, -1, 10):
+            with pytest.raises(UnknownIntensity):
+                table.real(intensity)
+            with pytest.raises(UnknownIntensity):
+                table.inverse(intensity)
 
     def test_just_equal_row_must_be_crisp(self):
-        # the diagonal of every fuzzy matrix is the intensity-1 direct row
-        with pytest.raises(ValueError, match="intensity 1"):
-            ScaleTable(rows=((Tfn(0.5, 1.0, 2.0), Tfn(0.5, 1.0, 2.0)),))
+        # the diagonal of every fuzzy matrix is code 0, the intensity-1
+        # direct row
+        assert oracle.SCALE[1] == (1, 1, 1)
+        assert ROW_TABLE[0].tolist() == [1.0, 1.0, 1.0]
 
     def test_row_table_and_mirror(self):
-        table = default_scale_table()
-        rows = table.row_table
-        assert rows.shape == (18, 3) and not rows.flags.writeable
-        for k, real, inverse in table:
-            assert tuple(rows[k - 1]) == real.as_tuple()
-            assert tuple(rows[9 + k - 1]) == inverse.as_tuple()
-        assert table.mirror.tolist() == [0, *range(10, 18), 0, *range(1, 9)]
+        assert ROW_TABLE.shape == (18, 3)
+        assert MIRROR.dtype == np.uint8
+        assert MIRROR.tolist() == [0, *range(10, 18), 0, *range(1, 9)]
+        # an involution on every code fuzzify emits, fixing code 0 alone
+        emitted = emitted_codes()
+        assert [int(MIRROR[MIRROR[c]]) for c in emitted] == emitted
+        assert [c for c in emitted if MIRROR[c] == c] == [0]
+        for constant in (ROW_TABLE, MIRROR):
+            assert not constant.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                constant[1] = constant[2]
 
 
 class TestFuzzify:
@@ -196,15 +199,15 @@ class TestFuzzyComparisonMatrix:
         codes = np.zeros((2, 2), dtype=np.uint8)
         codes[0, 0] = 4  # intensity 5, (1.5, 2, 2.5)
         with pytest.raises(ValueError, match=r"at \(0, 0\)"):
-            FuzzyComparisonMatrix(codes=codes, table=default_scale_table())
+            FuzzyComparisonMatrix(codes=codes)
 
     def test_rejects_broken_reciprocity(self):
         # intensity 5 above the diagonal, just-equal below it
         codes = np.array([[0, 4], [0, 0]], dtype=np.uint8)
         with pytest.raises(ValueError, match=r"at \(0, 1\)"):
-            FuzzyComparisonMatrix(codes=codes, table=default_scale_table())
+            FuzzyComparisonMatrix(codes=codes)
         codes[1, 0] = 13  # the inverse of intensity 5
-        assert FuzzyComparisonMatrix(codes=codes, table=default_scale_table()).n == 2
+        assert FuzzyComparisonMatrix(codes=codes).n == 2
 
     def test_entry_accessor_and_nested_dump(self):
         c = ComparisonMatrix(entries=np.array([[1.0, 2.0], [0.5, 1.0]]))
@@ -238,9 +241,8 @@ def float_checks(values):
 )
 @settings(max_examples=300, deadline=None)
 def test_any_one_changed_code_is_refused(n, seed, where, diagonal, code):
-    table = default_scale_table()
-    codes = random_codes(np.random.default_rng(seed), n, table)
-    accepted = FuzzyComparisonMatrix(codes=codes, table=table)
+    codes = random_codes(np.random.default_rng(seed), n)
+    accepted = FuzzyComparisonMatrix(codes=codes)
     # whatever the codes accept, the float checks accept too
     float_checks(accepted.values)
     i, j = int(where[0] * n), int(where[1] * (n - 1))
@@ -252,7 +254,7 @@ def test_any_one_changed_code_is_refused(n, seed, where, diagonal, code):
         code = (code + 1) % 256
     codes[i, j] = code
     with pytest.raises(ValueError):
-        FuzzyComparisonMatrix(codes=codes, table=table)
+        FuzzyComparisonMatrix(codes=codes)
 
 
 @st.composite
