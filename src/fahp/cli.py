@@ -14,7 +14,6 @@ import sys
 from .errors import (
     FahpError,
     GateRejected,
-    PipelineError,
     ScaledScoreOverflow,
     UnwritableOutput,
 )
@@ -248,9 +247,6 @@ def main(argv: list[str] | None = None) -> int:
     except GateRejected as exc:
         print(f"fahp: consistency: {exc}", file=sys.stderr)
         return EXIT_GATE_REJECTED
-    except PipelineError as exc:
-        print(f"fahp: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except FahpError as exc:
         print(f"fahp: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -156,47 +156,30 @@ def load_csv(
     With row_ids=False the id column is checked in the header but its
     cells are not read, and the matrix's row_ids is None.
 
-    numpy's C reader handles well-formed files. On any record it cannot
-    take as is, the file is read again by the per-cell loop, which skips
-    blank lines and names the first bad cell.
-
-    numpy is given the file's name, which it reads in chunks; from the
-    open handle it pulls one line per Python call. With ids, a file that
-    holds a `"` byte is read from the handle, since numpy opens a name with
-    universal newlines and would turn a quoted `\r` in an id into `\n`;
-    without a `"` no field is quoted and every `\r` ends a record either
-    way. So is a file that `_reopen_name` declines: a pipe or a name numpy
-    would decompress.
+    The file is opened once and its header parsed once. numpy's C reader
+    (`np.loadtxt`) then reads a plain file (see `_plain_name`) by its
+    name, in chunks. Every other input, and a plain file holding a record
+    numpy cannot take as is, is read by the per-cell loop, which goes on
+    from the header on the same open handle, skips blank lines and names
+    the first bad cell. A stream is thus read once and never reopened.
     """
     schema = schema or DatasetSchema.default()
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         id_pos, col_pos = _header_positions(reader, path, schema)
-        name = _reopen_name(fh, path)
-        # a small file is read for its quotes only once it is known to be
-        # regular: reading a pipe would drain it
-        fits, unquoted = _scan(path, small_too=row_ids and name is not None)
-        id_pos = id_pos if row_ids else None
-        if not fits:
-            parsed = None
-        elif name is None or (row_ids and not unquoted):
-            parsed = _parse_bulk(fh, 0, id_pos, col_pos)
-        else:
-            # line_num counts physical lines, as skiprows does, so a header
-            # with a quoted line end is skipped whole
-            parsed = _parse_bulk(name, reader.line_num, id_pos, col_pos)
-    if parsed is not None:
-        try:
-            # RatingMatrix checks the shape before the range and counts a
-            # non-finite cell as out of range; the loop names the first bad cell
-            return _rating_matrix(*parsed, schema)
-        except (EmptyDataset, TooFewCriteria, OutOfRange):
-            pass
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        values, ids = _parse_cells(
-            reader, path, schema.columns, *_header_positions(reader, path, schema)
-        )
+        name = _plain_name(fh, path)
+        parsed = None
+        if name is not None:
+            parsed = _parse_bulk(name, id_pos if row_ids else None, col_pos)
+        if parsed is not None:
+            try:
+                # RatingMatrix checks the shape before the range and counts a
+                # non-finite cell as out of range; the loop names the first bad cell
+                return _rating_matrix(*parsed, schema)
+            except (EmptyDataset, TooFewCriteria, OutOfRange):
+                pass
+        # numpy opened the file on its own, so reader is still past the header
+        values, ids = _parse_cells(reader, path, schema.columns, id_pos, col_pos)
     return _rating_matrix(values, ids if row_ids else None, schema)
 
 
@@ -224,61 +207,53 @@ def _header_positions(reader, path, schema: DatasetSchema) -> tuple[int, list[in
     return found[0], found[1:]
 
 
-def _scan(path, small_too: bool) -> tuple[bool, bool | None]:
-    """(fits, unquoted) for the file at path, from at most one read of it.
-
-    fits is False when a field could be longer than
-    `csv.field_size_limit()`, which the loop reports and numpy reads.
-    unquoted is True when the file holds no `"` byte, so that no field is
-    quoted. A file larger than the limit is always read: it fits only with
-    a line end (`\n` or `\r`, which both end a record) in every run of
-    limit + 1 bytes and no `"`, since a quoted field can span lines. A
-    smaller file always fits, and is read only when small_too; unread,
-    its unquoted is None."""
-    limit = csv.field_size_limit()
-    if os.path.getsize(path) <= limit and not small_too:
-        return True, None
-    with open(path, "rb") as fb:
-        data = fb.read()
-    unquoted = b'"' not in data
-    start = 0
-    while len(data) - start > limit:
-        end = start + limit + 1
-        line_end = max(data.rfind(b"\n", start, end), data.rfind(b"\r", start, end))
-        if line_end < 0:
-            return False, unquoted
-        start = line_end + 1
-    return unquoted or len(data) <= limit, unquoted
-
-
 # numpy reads a name with one of these suffixes (case-sensitive) through
 # gzip, bz2 or lzma, whatever the bytes are
 _DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _reopen_name(fh, path) -> str | None:
-    """The name under which numpy reads the file open as fh from its first
-    byte as plain text, or None. A pipe or other file that is not regular
-    would not start over when reopened, and numpy decompresses a name by
-    its suffix. The name is absolute, so numpy never takes it for a URL,
-    and not normalized, since `..` after a symlink need not lead where the
-    text says."""
+def _plain_name(fh, path) -> str | None:
+    """The absolute name under which numpy reads the file open as fh as
+    the loop would, or None when the file is not plain. A file is plain
+    when it is regular (a pipe or other stream would not start over when
+    reopened), its name does not end in a suffix numpy decompresses, it
+    holds no `"` byte, and every run of `csv.field_size_limit()` + 1
+    bytes holds a line end (`\n` or `\r`).
+
+    Without a `"` no field is quoted, so every `\r` and `\n` ends a
+    record for numpy and the csv module alike and the header is one
+    physical line; numpy reads a field of any length, which the loop
+    reports when it is over the limit. The name is absolute, so numpy
+    never takes it for a URL, and not normalized, since `..` after a
+    symlink need not lead where the text says."""
     if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
         return None
     name = os.fsdecode(path)
     if name.endswith(_DECOMPRESSED_SUFFIXES):
         return None
     # a relative name was just opened, so the working directory exists
-    return name if os.path.isabs(name) else os.path.join(os.getcwd(), name)
+    name = name if os.path.isabs(name) else os.path.join(os.getcwd(), name)
+    with open(name, "rb") as fb:
+        data = fb.read()
+    if b'"' in data:
+        return None
+    limit = csv.field_size_limit()
+    start = 0
+    while len(data) - start > limit:
+        end = start + limit + 1
+        line_end = max(data.rfind(b"\n", start, end), data.rfind(b"\r", start, end))
+        if line_end < 0:
+            return None
+        start = line_end + 1
+    return name
 
 
-def _parse_bulk(source, skiprows: int, id_pos: int | None, col_pos: list[int]):
-    """The data records as (values array, row ids), read by numpy's C
-    reader, or None when the per-cell loop must read them: a record numpy
-    cannot take, or a name it cannot open (numpy also looks up the working
-    directory, which may be gone). source is the handle just past the
-    header (skiprows 0) or a name from `_reopen_name`, of which the first
-    skiprows lines are the header.
+def _parse_bulk(name: str, id_pos: int | None, col_pos: list[int]):
+    """The data records of the plain file at name as (values array, row
+    ids), read by numpy's C reader past the one-line header, or None when
+    the per-cell loop must read them: a record numpy cannot take, or a
+    name it cannot open (numpy also looks up the working directory, which
+    may be gone).
     numpy reads floats as `float` does, bit for bit, but refuses a few
     tokens `float` takes (`1_0`, non-ASCII digits). With id_pos None the
     ids are None: a plain float array skips the object field, which is
@@ -293,9 +268,8 @@ def _parse_bulk(source, skiprows: int, id_pos: int | None, col_pos: list[int]):
             # the loop names a file without data records as empty
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             table = np.loadtxt(
-                source, delimiter=",", quotechar='"', comments=None, ndmin=ndmin,
-                usecols=usecols, dtype=dtype, skiprows=skiprows,
-                encoding="utf-8-sig",
+                name, delimiter=",", comments=None, ndmin=ndmin, usecols=usecols,
+                dtype=dtype, skiprows=1, encoding="utf-8-sig",
             )
     except (OSError, ValueError):
         return None

@@ -166,20 +166,14 @@ def add_extents(partial: PipelineResult) -> PipelineResult:
     return replace(partial, fuzzy=fuzzy, extents=extents)
 
 
-def run_to_extents(config: RunConfig) -> PipelineResult:
-    """Run ingest through the synthetic extents; raises GateRejected when
-    the consistency ratio exceeds the limit and the config does not force
-    continuation."""
+def run(config: RunConfig) -> PipelineResult:
+    """Execute the full pipeline and return every intermediate; raises
+    GateRejected when the consistency ratio exceeds the limit and the
+    config does not force continuation."""
     partial = run_to_consistency(config)
     if not partial.consistency.accepted and not config.force:
         raise GateRejected(partial.consistency)
-    return add_extents(partial)
-
-
-def run(config: RunConfig) -> PipelineResult:
-    """Execute the full pipeline and return every intermediate; raises
-    GateRejected as run_to_extents does."""
-    partial = run_to_extents(config)
+    partial = add_extents(partial)
     with _stage("weights"):
         weight_vector = weights(partial.extents, labels=partial.matrix.criteria)
     with _stage("score"):

@@ -1,6 +1,8 @@
 """Shared fixtures: dataset resolution and published reference values."""
 
+import contextlib
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +58,36 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+# a pipe reads under the name /dev/fd/N
+NEEDS_DEV_FD = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+
+
+@contextlib.contextmanager
+def piped(data: bytes):
+    """Yield the /dev/fd name of a pipe that carries data. A thread writes
+    it, since a pipe holds less than the largest inputs; closing the read
+    end on exit ends a write that the reader left unread."""
+    read_end, write_end = os.pipe()
+
+    def write():
+        view = memoryview(data)
+        try:
+            while view:
+                view = view[os.write(write_end, view):]
+        except BrokenPipeError:
+            pass
+        finally:
+            os.close(write_end)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+        writer.join()
 
 
 def resolve_dataset_path() -> Path:

@@ -22,7 +22,7 @@ from fahp.cli import EXIT_GATE_REJECTED, EXIT_INPUT_ERROR, EXIT_OK, main
 from fahp.consistency import DERIVATION_RULES
 from fahp.report import render_fuzzy_json, render_json, render_matrix_csv
 
-from conftest import ID_CELLS, REPO_ROOT
+from conftest import ID_CELLS, NEEDS_DEV_FD, REPO_ROOT, piped
 
 SMALL_CSV = "ID,c1,c2\nu1,1.0,3.0\nu2,2.0,4.0\nu3,3.0,2.0\n"
 
@@ -713,6 +713,32 @@ class TestRowIds:
         command, *flags = argv
         assert main([command, "--input", csv_path, "--schema", schema_path, *flags]) == EXIT_OK
         assert calls == [reads_ids]
+
+
+class TestPipedInput:
+    """The same bytes rank the same through a pipe as from a file."""
+
+    @NEEDS_DEV_FD
+    @pytest.mark.parametrize(
+        "cell, code",
+        [("0_1", EXIT_OK), ("abc", EXIT_INPUT_ERROR), ("1" * 200_000, EXIT_INPUT_ERROR)],
+        ids=["underscore", "text", "oversized"],
+    )
+    def test_pipe_gives_the_outcome_of_the_file(
+        self, dataset_path, tmp_path, capsys, cell, code
+    ):
+        # the first criterion cell of the first record; numpy refuses
+        # each of these, so the loop reads the file as it reads the pipe
+        header, first, *rest = dataset_path.read_bytes().splitlines(keepends=True)
+        user, _, others = first.split(b",", 2)
+        data = b"".join([header, b",".join([user, cell.encode(), others]), *rest])
+        path = tmp_path / "ratings.csv"
+        path.write_bytes(data)
+        by_file = main(["rank", "--input", str(path)]), capsys.readouterr()
+        with piped(data) as name:
+            by_pipe = main(["rank", "--input", name]), capsys.readouterr()
+        assert by_file[0] == code
+        assert by_pipe == by_file
 
 
 # (command, flags it never reads): each is a usage error, not ignored

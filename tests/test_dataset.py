@@ -25,7 +25,7 @@ from fahp import (
 )
 from fahp import dataset
 
-from conftest import ID_CELLS
+from conftest import ID_CELLS, NEEDS_DEV_FD, piped
 
 TWO_COL_SCHEMA = DatasetSchema(
     id_column="id", criteria_columns=(("a", "A"), ("b", "B"))
@@ -204,6 +204,8 @@ CLEAN_PADS = ["", " ", "\t", "\u3000"]
 # str.strip removes U+001F, float() does not
 DIRTY_PADS = ["\x1f"]
 SHAPES = ["full"] * 6 + ["blank", "spaces", "short", "long"]
+QUOTE_FREE_ID_CELLS = [cell for cell in ID_CELLS if '"' not in cell]
+QUOTED_ID_CELLS = [cell for cell in ID_CELLS if '"' in cell]
 
 
 @st.composite
@@ -226,12 +228,12 @@ def ratings_csv(draw):
     cells, blank, short, over-long and oversized records, and stray
     undecodable bytes. Independently, one file in two quotes nothing."""
     dirty = draw(st.booleans())
-    # one file in two holds no '"' byte, so its ids are read by name
+    # one file in two holds no '"' byte, so numpy reads it by name
     quoted = draw(st.booleans())
     header = draw(st.permutations(["id", "a", "b", "c", "x"]))
     # a quoted line end in an unused header cell
     unused = draw(st.sampled_from(["x", '"x\ny"', '"x\ry"'] if quoted else ["x"]))
-    id_cells = ID_CELLS if quoted else [cell for cell in ID_CELLS if '"' not in cell]
+    id_cells = ID_CELLS if quoted else QUOTE_FREE_ID_CELLS
     records = [",".join(unused if name == "x" else name for name in header)]
     for i in range(draw(st.integers(0, 12))):
         shape = draw(st.sampled_from(SHAPES)) if dirty else "full"
@@ -276,7 +278,8 @@ def _outcome(path, schema, row_ids=True):
 
 class TestIngestPaths:
     """The bulk parse and the per-cell loop agree on every input; the
-    loop alone runs when the bulk parse is replaced by one that declines."""
+    loop alone runs when the bulk parse is replaced by one that declines,
+    and when the input is a pipe."""
 
     @given(data=ratings_csv())
     @settings(
@@ -295,6 +298,14 @@ class TestIngestPaths:
         # without ids a record short of only its id parses in bulk; the
         # values and every error are still the loop's
         assert values_only == ((loop[0], None) if isinstance(loop[0], bytes) else loop)
+        if os.path.isdir("/dev/fd"):
+            # the loop reads a pipe once; the pipe's name stands where an
+            # error names the file
+            with piped(data) as name:
+                kind, detail = _outcome(name, THREE_COL_SCHEMA)
+            if isinstance(detail, str):
+                detail = detail.replace(name, str(path))
+            assert (kind, detail) == loop
 
     def test_shipped_dataset_takes_the_bulk_parse(self, dataset_path, monkeypatch):
         monkeypatch.setattr(dataset, "_parse_cells", _no_loop)
@@ -308,7 +319,7 @@ class TestIngestPaths:
         rows = 773
         values = np.arange(rows * 2).reshape(rows, 2) % 17 / 4
         cells = enumerate(values.tolist())
-        lines = ["id,a,b", *(f'u{i}, {a!r} ,"{b!r}"' for i, (a, b) in cells)]
+        lines = ["id,a,b", *(f"u{i}, {a!r} ,{b!r}\t" for i, (a, b) in cells)]
         path = tmp_path / "many.csv"
         path.write_bytes(("\ufeff" + "\r\n".join(lines) + "\r\n").encode("utf-8"))
         monkeypatch.setattr(dataset, "_parse_cells", _no_loop)
@@ -386,7 +397,7 @@ class TestIngestPaths:
                 load_csv(path, TWO_COL_SCHEMA)
         assert str(err.value) == f"{path}: no data rows"
 
-    @pytest.mark.parametrize("cell", ID_CELLS, ids=repr)
+    @pytest.mark.parametrize("cell", QUOTE_FREE_ID_CELLS, ids=repr)
     def test_odd_id_takes_the_bulk_parse(self, tmp_path, monkeypatch, cell):
         path = write(tmp_path, "id,a,b\n" + cell.format(i=1) + ",1.0,2.0\nu2,3.0,4.0\n")
         with mock.patch.object(dataset, "_parse_bulk", return_value=None):
@@ -394,13 +405,6 @@ class TestIngestPaths:
         monkeypatch.setattr(dataset, "_parse_cells", _no_loop)
         assert _outcome(path, TWO_COL_SCHEMA) == loop
         assert loop[1][1] == "u2"
-
-    def test_header_with_a_quoted_newline_takes_the_bulk_parse(self, tmp_path, monkeypatch):
-        path = write(tmp_path, 'id,"x\ny",a,b\nu1,z,1.0,2.0\nu2,z,3.0,4.0\n')
-        monkeypatch.setattr(dataset, "_parse_cells", _no_loop)
-        m = load_csv(path, TWO_COL_SCHEMA)
-        assert m.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-        assert m.row_ids == ("u1", "u2")
 
     @pytest.mark.parametrize(
         "token, expected",
@@ -433,7 +437,7 @@ class TestIngestPaths:
         assert load_csv(path, TWO_COL_SCHEMA).shape == (rows, 2)
 
     def test_file_with_cr_line_ends_takes_the_bulk_parse(self, tmp_path, monkeypatch):
-        # larger than the field limit, so _scan reads it for line ends
+        # larger than the field limit, so _plain_name looks for line ends
         rows = FIELD_LIMIT // 10
         lines = ["id,a,b", *(f"u{i},{i % 17 / 4!r},2.5" for i in range(rows))]
         twin = write(tmp_path, "\n".join(lines) + "\n", name="lf.csv")
@@ -467,11 +471,10 @@ def _no_loop(*args):
     raise AssertionError("the per-cell loop ran")
 
 
-PLAIN_TEXT = 'id,"x\ry",a,b\r\nu1,z,1.25,2.0\r\n"u\r2",z,3.0,0.5\r\n'
+PLAIN_TEXT = "id,x,a,b\r\nu1,z,1.25,2.0\r\nu2 ,z,3.0,0.5\r\n"
+# a quoted \r in the header and in an id
+QUOTED_TEXT = 'id,"x\ry",a,b\r\nu1,z,1.25,2.0\r\n"u\r2",z,3.0,0.5\r\n'
 PLAIN_VALUES = np.array([[1.25, 2.0], [3.0, 0.5]]).tobytes()
-
-
-QUOTE_FREE_TEXT = "id,x,a,b\r\nu1,z,1.25,2.0\r\nu2 ,z,3.0,0.5\r\n"
 
 
 def _quote_free_text(rows):
@@ -483,24 +486,30 @@ def _quote_free_text(rows):
 
 
 class TestReadByName:
-    """numpy reads a regular file by its name, with or without ids, unless
-    ids are read and the file holds a `"` byte, which could open a quoted
-    field; that file, a name numpy would decompress and a file that is not
-    regular are read from the open handle. Every way gives the same matrix.
+    """numpy reads a plain file by its absolute name, with or without ids:
+    a regular file that holds no `"` byte, under a name numpy would not
+    decompress. Every other input is read by the per-cell loop from the
+    one open handle. Every way gives the same matrix.
     """
 
     @pytest.fixture
-    def loadtxt_sources(self, monkeypatch):
-        sources = []
-        loadtxt = np.loadtxt
+    def reads(self, monkeypatch):
+        """The reads load_csv makes, in order: ("numpy", source) for each
+        loadtxt call and ("loop", path) for each run of the per-cell loop."""
+        reads = []
+        loadtxt, parse_cells = np.loadtxt, dataset._parse_cells
 
-        def spy(source, *args, **kwargs):
-            sources.append(source)
+        def numpy_read(source, *args, **kwargs):
+            reads.append(("numpy", source))
             return loadtxt(source, *args, **kwargs)
 
-        monkeypatch.setattr(dataset.np, "loadtxt", spy)
-        monkeypatch.setattr(dataset, "_parse_cells", _no_loop)
-        return sources
+        def loop_read(reader, path, *args):
+            reads.append(("loop", path))
+            return parse_cells(reader, path, *args)
+
+        monkeypatch.setattr(dataset.np, "loadtxt", numpy_read)
+        monkeypatch.setattr(dataset, "_parse_cells", loop_read)
+        return reads
 
     @pytest.mark.parametrize(
         "name",
@@ -508,7 +517,7 @@ class TestReadByName:
         # relative, and a URL to numpy's urlparse unless made absolute
         + ["http:/host/r.csv", "http://host/r.csv"],
     )
-    def test_plain_text_under_any_name(self, tmp_path, monkeypatch, loadtxt_sources, name):
+    def test_plain_text_under_any_name(self, tmp_path, monkeypatch, reads, name):
         monkeypatch.chdir(tmp_path)
         path = tmp_path / name
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -516,26 +525,23 @@ class TestReadByName:
         with_ids = load_csv(name, TWO_COL_SCHEMA)
         m = load_csv(name, TWO_COL_SCHEMA, row_ids=False)
         assert with_ids.values.tobytes() == m.values.tobytes() == PLAIN_VALUES
-        # read from the handle, a quoted \r in an id stays a \r
-        assert with_ids.row_ids == ("u1", "u\r2")
+        assert with_ids.row_ids == ("u1", "u2")
         assert m.row_ids is None
-        by_handle, by_name = loadtxt_sources
-        assert not isinstance(by_handle, str)
         if name.endswith((".gz", ".bz2", ".xz", ".lzma")):
-            assert not isinstance(by_name, str)
+            assert reads == [("loop", name)] * 2
         else:
-            assert by_name == os.path.join(str(tmp_path), name)
+            assert reads == [("numpy", os.path.join(str(tmp_path), name))] * 2
 
-    def test_name_is_not_normalized(self, tmp_path, monkeypatch, loadtxt_sources):
+    def test_name_is_not_normalized(self, tmp_path, monkeypatch, reads):
         # link/../r.csv is b/r.csv to the kernel, r.csv to os.path.abspath
         (tmp_path / "b" / "sub").mkdir(parents=True)
         write(tmp_path / "b", PLAIN_TEXT, name="r.csv")
-        write(tmp_path, "id,a,b\nu1,4.0,4.0\n", name="r.csv")
+        write(tmp_path, "id,x,a,b\nu1,z,4.0,4.0\n", name="r.csv")
         (tmp_path / "link").symlink_to(tmp_path / "b" / "sub")
         monkeypatch.chdir(tmp_path)
         m = load_csv(os.path.join("link", "..", "r.csv"), TWO_COL_SCHEMA, row_ids=False)
         assert m.values.tobytes() == PLAIN_VALUES
-        assert loadtxt_sources == [os.path.join(str(tmp_path), "link", "..", "r.csv")]
+        assert reads == [("numpy", os.path.join(str(tmp_path), "link", "..", "r.csv"))]
 
     def test_absolute_name_read_from_a_removed_directory(self, tmp_path, monkeypatch):
         path = write(tmp_path, PLAIN_TEXT, name="r.csv")
@@ -547,67 +553,73 @@ class TestReadByName:
 
     @pytest.mark.parametrize("newline", ["\r\n", "\n", "\r"])
     def test_ids_are_read_by_name_without_a_quote(
-        self, tmp_path, monkeypatch, loadtxt_sources, newline
+        self, tmp_path, monkeypatch, reads, newline
     ):
         monkeypatch.chdir(tmp_path)
-        write(tmp_path, QUOTE_FREE_TEXT.replace("\r\n", newline), name="r.csv")
+        write(tmp_path, PLAIN_TEXT.replace("\r\n", newline), name="r.csv")
         m = load_csv("r.csv", TWO_COL_SCHEMA)
         assert m.values.tobytes() == PLAIN_VALUES
         assert m.row_ids == ("u1", "u2")
-        assert loadtxt_sources == [os.path.join(str(tmp_path), "r.csv")]
+        assert reads == [("numpy", os.path.join(str(tmp_path), "r.csv"))]
 
-    def test_any_quote_sends_ids_to_the_handle(self, tmp_path, loadtxt_sources):
-        # one quoted id after the rest (a file over the field limit with a
-        # quote goes to the per-cell loop, ids or not)
+    def test_any_quote_sends_ids_to_the_handle(self, tmp_path, reads):
+        # one quoted id after the rest sends the whole file to the loop,
+        # with ids or without
         text, _, ids = _quote_free_text(3)
         path = write(tmp_path, text + '"u,x",1.0,2.0\n')
         m = load_csv(path, TWO_COL_SCHEMA)
         assert m.row_ids == (*ids, "u,x")
         without_ids = load_csv(path, TWO_COL_SCHEMA, row_ids=False)
         assert without_ids.values.tobytes() == m.values.tobytes()
-        by_handle, by_name = loadtxt_sources
-        assert not isinstance(by_handle, str)
-        assert by_name == str(path)
+        assert reads == [("loop", path)] * 2
 
-    def test_large_quote_free_file_reads_ids_by_name(self, tmp_path, loadtxt_sources):
+    @pytest.mark.parametrize("cell", QUOTED_ID_CELLS, ids=repr)
+    def test_quoted_id_is_read_by_the_loop(self, tmp_path, reads, cell):
+        record = cell.format(i=1)
+        path = write(tmp_path, f"id,a,b\n{record},1.0,2.0\nu2,3.0,4.0\n")
+        m = load_csv(path, TWO_COL_SCHEMA)
+        assert m.row_ids == (next(csv.reader([record]))[0].strip(), "u2")
+        assert m.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert reads == [("loop", path)]
+
+    def test_header_with_a_quoted_newline_is_read_by_the_loop(self, tmp_path, reads):
+        # numpy opens a name with universal newlines, which would turn the
+        # quoted \r in an id into \n; the loop keeps it
+        path = write(tmp_path, QUOTED_TEXT)
+        m = load_csv(path, TWO_COL_SCHEMA)
+        assert m.values.tobytes() == PLAIN_VALUES
+        assert m.row_ids == ("u1", "u\r2")
+        assert reads == [("loop", path)]
+
+    def test_large_quote_free_file_reads_ids_by_name(self, tmp_path, reads):
         text, values, ids = _quote_free_text(FIELD_LIMIT // 10)
         path = write(tmp_path, text)
         assert path.stat().st_size > FIELD_LIMIT
         m = load_csv(path, TWO_COL_SCHEMA)
         assert m.values.tobytes() == values
         assert m.row_ids == ids
-        assert loadtxt_sources == [str(path)]
+        assert reads == [("numpy", str(path))]
 
-    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
-    def test_pipe_with_ids_is_read_from_the_handle(self, loadtxt_sources):
-        # more than the handle buffers at once and less than the pipe
-        # holds: a read of the pipe by name beside the handle would take
-        # the records past the handle's buffer
+    @NEEDS_DEV_FD
+    def test_pipe_with_ids_is_read_from_the_handle(self, reads):
+        # more than the handle buffers at once: the loop goes on from the
+        # header on the one handle, where a pipe opened again would start
+        # past that buffer
         text, values, ids = _quote_free_text(2000)
-        assert 16384 < len(text) < 65536
-        read_end, write_end = os.pipe()
-        with os.fdopen(write_end, "wb") as fw:
-            fw.write(text.encode("utf-8"))
-        try:
-            m = load_csv(f"/dev/fd/{read_end}", TWO_COL_SCHEMA)
-        finally:
-            os.close(read_end)
+        assert len(text) > 16384
+        with piped(text.encode("utf-8")) as name:
+            m = load_csv(name, TWO_COL_SCHEMA)
         assert m.values.tobytes() == values
         assert m.row_ids == ids
-        assert len(loadtxt_sources) == 1 and not isinstance(loadtxt_sources[0], str)
+        assert reads == [("loop", name)]
 
-    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
-    def test_pipe_is_read_from_the_handle(self, loadtxt_sources):
-        # reopened, a pipe would go on where the first reader's buffer ended
-        read_end, write_end = os.pipe()
-        with os.fdopen(write_end, "wb") as fw:
-            fw.write(PLAIN_TEXT.encode("utf-8"))
-        try:
-            m = load_csv(f"/dev/fd/{read_end}", TWO_COL_SCHEMA, row_ids=False)
-        finally:
-            os.close(read_end)
+    @NEEDS_DEV_FD
+    def test_pipe_is_read_from_the_handle(self, reads):
+        with piped(PLAIN_TEXT.encode("utf-8")) as name:
+            m = load_csv(name, TWO_COL_SCHEMA, row_ids=False)
         assert m.values.tobytes() == PLAIN_VALUES
-        assert len(loadtxt_sources) == 1 and not isinstance(loadtxt_sources[0], str)
+        assert m.row_ids is None
+        assert reads == [("loop", name)]
 
 
 BAD_CELLS = [np.nan, np.inf, -np.inf, -5e-324, -0.5, float(np.nextafter(4.0, 5.0)), 5.0]
@@ -684,7 +696,7 @@ class TestRatingMatrix:
     def test_loaded_values_are_read_only_and_own_their_data(
         self, tmp_path, monkeypatch, row_ids, path
     ):
-        csv_path = write(tmp_path, QUOTE_FREE_TEXT)
+        csv_path = write(tmp_path, PLAIN_TEXT)
         if path == "loop":
             monkeypatch.setattr(dataset, "_parse_bulk", lambda *args: None)
         m = load_csv(csv_path, TWO_COL_SCHEMA, row_ids=row_ids)
