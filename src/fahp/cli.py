@@ -134,6 +134,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_unwritten_output(parser: argparse.ArgumentParser, args) -> None:
+    """The fuzzy dump writes only --out-json and every other dump only
+    --out-csv; the flag a stage would not write is a usage error."""
+    if args.dump == "fuzzy" and args.out_csv is not None:
+        parser.error(
+            "argument --out-csv: only --dump normalized, comparison or extents "
+            "takes it, not --dump fuzzy"
+        )
+    if args.dump != "fuzzy" and args.out_json is not None:
+        parser.error(
+            f"argument --out-json: only --dump fuzzy takes it, not --dump {args.dump}"
+        )
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**{k: v for k, v in vars(args).items() if k in RunConfig._fields})
 
@@ -149,7 +163,7 @@ def cmd_rank(config: RunConfig) -> int:
     result = run(config)
     report = result.report
     for row in report.rows:
-        for value in (row.score_real, row.score_normalized or 0.0):
+        for value in (row.score_real, row.score_normalized):
             if not math.isfinite(value * config.report_scale):
                 raise ScaledScoreOverflow(row.label, config.report_scale)
     echo = config.echo()
@@ -166,7 +180,7 @@ def cmd_rank(config: RunConfig) -> int:
         real = row.score_real * config.report_scale
         print(f"{row.rank:3d}  {row.label:<24}  {real:.4f}")
     print(f"mse vs reference: {report.mse:.3e} (tolerance {config.mse_tol:g})")
-    if result.validation is not None and not result.validation.passed:
+    if not result.validation.passed:
         print(
             "fahp: validation: mse exceeds the configured tolerance",
             file=sys.stderr,
@@ -206,18 +220,16 @@ def cmd_dump(config: RunConfig, stage: str) -> int:
                 matrix.criteria,
                 result.comparison.entries,
             )
-        out_path = config.out_csv
     else:
         result = add_extents(result)
         if stage == "fuzzy":
             text = render_fuzzy_json(result.matrix.criteria, result.fuzzy)
-            out_path = config.out_json
         else:
             text = render_matrix_csv(
                 ["label", "l", "m", "u"], result.matrix.criteria, result.extents
             )
-            out_path = config.out_csv
 
+    out_path = config.out_json if stage == "fuzzy" else config.out_csv
     if out_path:
         _write_output(out_path, text)
     else:
@@ -229,6 +241,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "dump":
+            _refuse_unwritten_output(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
 

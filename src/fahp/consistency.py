@@ -114,16 +114,13 @@ def build_comparison(means: Sequence[float], rule: str | DerivationRule = "mean_
     return ComparisonMatrix(entries=fn(mu))
 
 
-def lambda_max(
-    c: ComparisonMatrix,
-    tol: float = POWER_ITERATION_TOL,
-    max_iterations: int = POWER_ITERATION_CAP,
-) -> float:
+def lambda_max(c: ComparisonMatrix, max_iterations: int = POWER_ITERATION_CAP) -> float:
     """Dominant eigenvalue by power iteration.
 
     Positive matrices have a simple dominant eigenvalue, so iteration from
     the all-ones vector converges; successive Rayleigh quotients closer
-    than tol stop it. A perfectly consistent matrix returns n within 1e-9.
+    than POWER_ITERATION_TOL stop it. A perfectly consistent matrix
+    returns n within 1e-9.
     """
     a = c.entries
     v = np.ones(c.n, dtype=float)
@@ -131,7 +128,7 @@ def lambda_max(
     for _ in range(max_iterations):
         w = a @ v
         quotient = float(v @ w) / float(v @ v)
-        if previous is not None and abs(quotient - previous) < tol:
+        if previous is not None and abs(quotient - previous) < POWER_ITERATION_TOL:
             return quotient
         previous = quotient
         v = w / np.linalg.norm(w)
@@ -184,15 +181,9 @@ class ConsistencyReport(Record):
     warnings: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
-        return {
-            "lambda_max": self.lambda_max,
-            "n": self.n,
-            "ci": self.ci,
-            "ir": self.ir,
-            "cr": self.cr,
-            "accepted": self.accepted,
-            "warnings": list(self.warnings),
-        }
+        doc = {name: getattr(self, name) for name in self._fields}
+        doc["warnings"] = list(self.warnings)
+        return doc
 
 
 def check(

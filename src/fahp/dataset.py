@@ -34,6 +34,16 @@ RATING_MAX = 4.0
 _DEFAULT_SCHEMA_RESOURCE = "travel_reviews_schema.json"
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key given twice is refused, not overwritten."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"schema repeats the key {key!r}")
+        doc[key] = value
+    return doc
+
+
 class DatasetSchema(Record):
     """Names the id column and the ordered (column, label) criterion pairs."""
 
@@ -64,24 +74,20 @@ class DatasetSchema(Record):
     def from_dict(cls, doc: dict) -> "DatasetSchema":
         if not isinstance(doc, dict) or not isinstance(doc.get("id_column"), str):
             raise ValueError("schema must be a JSON object with a string 'id_column'")
-        pairs = doc.get("criteria_columns")
-        if isinstance(pairs, dict):
-            pairs = list(pairs.items())
-        if not isinstance(pairs, list) or not all(
-            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in pairs
-        ):
+        mapping = doc.get("criteria_columns")
+        if not isinstance(mapping, dict):
             raise ValueError(
-                "schema 'criteria_columns' must be an object or a list of "
-                "[column, label] pairs"
+                "schema 'criteria_columns' must be an object mapping CSV columns "
+                "to criterion labels"
             )
-        items = tuple((str(c), str(lab)) for c, lab in pairs)
+        items = tuple((str(c), str(lab)) for c, lab in mapping.items())
         return cls(id_column=doc["id_column"], criteria_columns=items)
 
     @classmethod
     def from_json(cls, path) -> "DatasetSchema":
         with open(path, encoding="utf-8") as fh:
             try:
-                return cls.from_dict(json.load(fh))
+                return cls.from_dict(json.load(fh, object_pairs_hook=_unique_keys))
             except (RecursionError, json.JSONDecodeError) as exc:
                 raise ValueError(f"schema {path} is not readable JSON: {exc}") from None
 

@@ -1,7 +1,7 @@
 """End-to-end pipeline shared by the CLI and the demo scripts.
 
 Stage order: ingest -> normalize -> build_comparison -> consistency gate
--> fuzzify -> synthetic extents -> weights -> score -> rank -> validate.
+-> fuzzify -> synthetic extents -> weights -> score -> validate -> rank.
 Failures are wrapped with the offending stage named; a failed gate raises
 GateRejected unless the config forces continuation.
 """
@@ -20,16 +20,9 @@ from .consistency import (
 )
 from .dataset import DatasetSchema, RatingMatrix, column_means, load_csv
 from .errors import FahpError, GateRejected, PipelineError
-from .extent import WeightVector, synthetic_extents, weights
+from .extent import synthetic_extents, weights
 from .normalize import NormalizedMatrix, normalize
-from .ranking import (
-    RankingReport,
-    ScoreVector,
-    ValidationRecord,
-    build_report,
-    score,
-    validate,
-)
+from .ranking import RankingReport, ValidationRecord, build_report, score, validate
 from .record import Record, replace
 from .reference import reference_scores
 # default_scale_table is unused here, but perfbench/spans.py traces it by this name
@@ -77,7 +70,8 @@ class RunConfig(Record):
 
 
 class PipelineResult(Record):
-    """Every intermediate a run produced, for reports, dumps, and demos.
+    """The intermediates a run produced that reports, dumps and demos read;
+    the weights and scores are read from the report.
 
     matrix.row_ids is None unless the run was asked for the ids: only
     run_to_comparison(config, row_ids=True), which the normalized dump
@@ -87,14 +81,10 @@ class PipelineResult(Record):
     config: RunConfig
     matrix: RatingMatrix
     normalized: NormalizedMatrix
-    means: np.ndarray
     comparison: ComparisonMatrix
     consistency: ConsistencyReport | None = None
     fuzzy: FuzzyComparisonMatrix | None = None
     extents: np.ndarray | None = None
-    weight_vector: WeightVector | None = None
-    real_scores: ScoreVector | None = None
-    normalized_scores: ScoreVector | None = None
     report: RankingReport | None = None
     validation: ValidationRecord | None = None
 
@@ -133,13 +123,11 @@ def run_to_comparison(config: RunConfig, *, row_ids: bool = False) -> PipelineRe
     with _stage("normalize"):
         normalized = normalize(matrix)
     with _stage("comparison"):
-        means = column_means(matrix)
-        comparison = build_comparison(means, rule=config.derivation)
+        comparison = build_comparison(column_means(matrix), rule=config.derivation)
     return PipelineResult(
         config=config,
         matrix=matrix,
         normalized=normalized,
-        means=means,
         comparison=comparison,
     )
 
@@ -167,7 +155,7 @@ def add_extents(partial: PipelineResult) -> PipelineResult:
 
 
 def run(config: RunConfig) -> PipelineResult:
-    """Execute the full pipeline and return every intermediate; raises
+    """Execute the full pipeline and return its intermediates; raises
     GateRejected when the consistency ratio exceeds the limit and the
     config does not force continuation."""
     partial = run_to_consistency(config)
@@ -179,10 +167,6 @@ def run(config: RunConfig) -> PipelineResult:
     with _stage("score"):
         real_scores = score(partial.matrix, weight_vector, config.aggregate)
         normalized_scores = score(partial.normalized, weight_vector, config.aggregate)
-    with _stage("rank"):
-        report = build_report(
-            real_scores, normalized_scores, partial.consistency, weight_vector
-        )
     with _stage("validate"):
         # column views, not lists: no Python float is held per cell
         oracle = reference_scores(
@@ -190,14 +174,14 @@ def run(config: RunConfig) -> PipelineResult:
             partial.comparison.entries.tolist(),
             aggregate=config.aggregate,
         )
-        record = validate(report, oracle, tolerance=config.mse_tol)
-        report = report.with_mse(record.mse)
+        record = validate(real_scores, oracle, tolerance=config.mse_tol)
+    with _stage("rank"):
+        report = build_report(
+            real_scores,
+            normalized_scores,
+            partial.consistency,
+            weight_vector,
+            record.mse,
+        )
 
-    return replace(
-        partial,
-        weight_vector=weight_vector,
-        real_scores=real_scores,
-        normalized_scores=normalized_scores,
-        report=report,
-        validation=record,
-    )
+    return replace(partial, report=report, validation=record)

@@ -9,7 +9,7 @@ import numpy as np
 from .consistency import ConsistencyReport
 from .errors import DimensionMismatch, EmptyInput, LengthMismatch
 from .extent import WeightVector
-from .record import Record, frozen, replace
+from .record import Record, frozen
 
 AGGREGATES = ("mean", "sum")
 
@@ -48,53 +48,44 @@ class RankRow(Record):
     rank: int
     label: str
     score_real: float
-    score_normalized: float | None
+    score_normalized: float
 
 
-def rank(scores: ScoreVector, normalized: ScoreVector | None = None) -> tuple[RankRow, ...]:
+def rank(scores: ScoreVector, normalized: ScoreVector) -> tuple[RankRow, ...]:
     """Order criteria by descending score; ties break by ascending label.
 
-    The primary vector fills score_real; an optional companion vector
-    (matched by label) fills score_normalized.
+    The primary vector fills score_real; the companion vector (matched by
+    label) fills score_normalized.
     """
     if scores.scores.size == 0:
         raise EmptyInput("cannot rank an empty score vector")
-    companion = {}
-    if normalized is not None:
-        if set(normalized.labels) != set(scores.labels):
-            raise ValueError("companion scores must cover the same labels")
-        companion = dict(zip(normalized.labels, normalized.scores))
+    if set(normalized.labels) != set(scores.labels):
+        raise ValueError("companion scores must cover the same labels")
+    companion = dict(zip(normalized.labels, normalized.scores))
     ordered = sorted(
         zip(scores.labels, scores.scores), key=lambda pair: (-pair[1], pair[0])
     )
-    rows = []
-    for position, (label, value) in enumerate(ordered, start=1):
-        rows.append(
-            RankRow(
-                rank=position,
-                label=label,
-                score_real=float(value),
-                score_normalized=(
-                    float(companion[label]) if label in companion else None
-                ),
-            )
+    return tuple(
+        RankRow(
+            rank=position,
+            label=label,
+            score_real=float(value),
+            score_normalized=float(companion[label]),
         )
-    return tuple(rows)
+        for position, (label, value) in enumerate(ordered, start=1)
+    )
 
 
 class RankingReport(Record):
     """Ordered rank rows plus the evidence backing them."""
 
     rows: tuple[RankRow, ...]
-    mse: float | None
+    mse: float
     consistency: ConsistencyReport
     weights: WeightVector
 
     def score_by_label(self) -> dict[str, float]:
         return {row.label: row.score_real for row in self.rows}
-
-    def with_mse(self, value: float) -> "RankingReport":
-        return replace(self, mse=value)
 
 
 def build_report(
@@ -102,11 +93,12 @@ def build_report(
     normalized_scores: ScoreVector,
     consistency: ConsistencyReport,
     weight_vector: WeightVector,
+    mse: float,
 ) -> RankingReport:
     rows = rank(real_scores, normalized_scores)
     return RankingReport(
         rows=rows,
-        mse=None,
+        mse=mse,
         consistency=consistency,
         weights=weight_vector,
     )
@@ -131,16 +123,13 @@ class ValidationRecord(Record):
 
 
 def validate(
-    report: RankingReport,
+    scores: ScoreVector,
     oracle_scores: Sequence[float],
     tolerance: float = 1e-3,
 ) -> ValidationRecord:
-    """Cross-check report scores against an independent recomputation.
+    """Cross-check scores against an independent recomputation.
 
-    oracle_scores must be ordered like report.weights.labels (the original
-    criteria order); rows are realigned by label before comparing.
+    oracle_scores must be ordered like scores.labels, the criteria order.
     """
-    by_label = report.score_by_label()
-    pipeline = [by_label[label] for label in report.weights.labels]
-    value = mse(pipeline, oracle_scores)
+    value = mse(scores.scores, oracle_scores)
     return ValidationRecord(mse=value, tolerance=tolerance, passed=value <= tolerance)

@@ -47,11 +47,7 @@ def report_to_dict(
             "rank": row.rank,
             "label": row.label,
             "score_real": _round4(row.score_real * report_scale),
-            "score_normalized": (
-                _round4(row.score_normalized * report_scale)
-                if row.score_normalized is not None
-                else None
-            ),
+            "score_normalized": _round4(row.score_normalized * report_scale),
         }
         for row in report.rows
     ]
@@ -73,11 +69,7 @@ def render_ranking_csv(report: RankingReport, report_scale: float = 1.0) -> str:
     lines = ["rank,label,score_real,score_normalized"]
     for row in report.rows:
         real = f"{row.score_real * report_scale:.4f}"
-        norm = (
-            f"{row.score_normalized * report_scale:.4f}"
-            if row.score_normalized is not None
-            else ""
-        )
+        norm = f"{row.score_normalized * report_scale:.4f}"
         lines.append(f"{row.rank},{_csv_field(row.label)},{real},{norm}")
     return "\n".join(lines) + "\n"
 

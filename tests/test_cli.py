@@ -454,10 +454,11 @@ class TestInputErrors:
             {"id_column": "ID", "criteria_columns": 5},
             {"id_column": "ID", "criteria_columns": [["c1"], ["c2", "Second"]]},
             {"id_column": "ID", "criteria_columns": ["c1", "c2"]},
+            {"id_column": "ID", "criteria_columns": [["c1", "First"], ["c2", "Second"]]},
         ],
         ids=[
             "list", "null", "string", "no-id", "numeric-id", "number-columns",
-            "short-pair", "string-pairs",
+            "short-pair", "string-pairs", "pairs",
         ],
     )
     def test_malformed_schema_document(self, small_inputs, tmp_path, capsys, doc):
@@ -482,6 +483,36 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("fahp: ingest: schema")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            (
+                '{"id_column": "ID", "criteria_columns": '
+                '{"c1": "First", "c2": "Second", "c2": "Third"}}',
+                "c2",
+            ),
+            (
+                '{"id_column": "c1", "criteria_columns": '
+                '{"c1": "First", "c2": "Second"}, "id_column": "ID"}',
+                "id_column",
+            ),
+        ],
+        ids=["criteria-column", "top-level"],
+    )
+    def test_repeated_schema_key_is_refused(
+        self, small_inputs, tmp_path, capsys, text, key
+    ):
+        # json keeps the last value of a repeated key, so each of these
+        # would rank a schema the file does not say
+        csv_path, _ = small_inputs
+        schema_path = tmp_path / "repeated.json"
+        schema_path.write_text(text, encoding="utf-8")
+        code = main(["rank", "--input", csv_path, "--schema", str(schema_path)])
+        assert code == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"fahp: ingest: schema repeats the key {key!r}\n"
+        assert captured.out == ""
 
 
 class TestDump:
@@ -776,6 +807,40 @@ class TestFlagsPerCommand:
         assert "unrecognized arguments" in captured.err
         assert captured.out == ""
         assert not any(tmp_path.glob("x.*"))
+
+    @pytest.mark.parametrize(
+        "stage, flag, taker",
+        [
+            ("normalized", "--out-json", "--dump fuzzy"),
+            ("comparison", "--out-json", "--dump fuzzy"),
+            ("extents", "--out-json", "--dump fuzzy"),
+            ("fuzzy", "--out-csv", "--dump normalized, comparison or extents"),
+        ],
+        ids=["normalized", "comparison", "extents", "fuzzy"],
+    )
+    def test_dump_output_flag_the_stage_does_not_write_is_refused(
+        self, small_inputs, tmp_path, monkeypatch, capsys, stage, flag, taker
+    ):
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        csv_path, schema_path = small_inputs
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_to_comparison", no_stage)
+        code = main(
+            [
+                "dump",
+                "--input", csv_path,
+                "--schema", schema_path,
+                "--dump", stage,
+                flag, "x.out",
+            ]
+        )
+        assert code == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert f"error: argument {flag}: only {taker} takes it" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "x.out").exists()
 
     @pytest.mark.parametrize(
         "command, count", [("rank", 11), ("check", 4), ("dump", 7)]

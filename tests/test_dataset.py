@@ -47,11 +47,13 @@ class TestSchema:
         assert schema.labels[6] == "Parks/Picnic Spots"
         assert len(schema.labels) == 10
 
-    def test_from_dict_accepts_pairs_and_mapping(self):
-        doc = {"id_column": "id", "criteria_columns": [["a", "A"], ["b", "B"]]}
-        assert DatasetSchema.from_dict(doc).labels == ["A", "B"]
+    def test_from_dict_takes_a_mapping_only(self):
         doc = {"id_column": "id", "criteria_columns": {"a": "A", "b": "B"}}
         assert DatasetSchema.from_dict(doc).columns == ["a", "b"]
+        assert DatasetSchema.from_dict(doc).labels == ["A", "B"]
+        doc = {"id_column": "id", "criteria_columns": [["a", "A"], ["b", "B"]]}
+        with pytest.raises(ValueError, match="must be an object"):
+            DatasetSchema.from_dict(doc)
 
     def test_duplicate_columns_rejected(self):
         with pytest.raises(ValueError):

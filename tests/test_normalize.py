@@ -29,9 +29,8 @@ def test_zero_column_maps_to_zeros():
 def test_normalize_keeps_shape_and_labels():
     m = rating([[1.0, 2.0], [3.0, 4.0]], labels=("A", "B"))
     n = normalize(m)
-    assert n.shape == m.shape
+    assert n.values.shape == m.values.shape
     assert n.criteria == ("A", "B")
-    assert n.column_max_used.tolist() == [3.0, 4.0]
 
 
 def test_idempotence_is_exact():
@@ -62,11 +61,7 @@ def test_positive_columns_peak_at_exactly_one():
 
 def test_normalized_matrix_rejects_cells_above_one():
     with pytest.raises(ValueError):
-        NormalizedMatrix(
-            values=np.array([[1.5]]),
-            criteria=("A",),
-            column_max_used=np.array([1.0]),
-        )
+        NormalizedMatrix(values=np.array([[1.5]]), criteria=("A",))
 
 
 def test_values_frozen():
@@ -76,39 +71,28 @@ def test_values_frozen():
 
 
 @pytest.mark.parametrize(
-    "values, maxima",
-    [
-        # accepted before: every comparison with a NaN is False
-        ([[np.nan, 0.5], [1.0, 1.0]], [1.0, 1.0]),
-        ([[1.0, 0.5], [1.0, 1.0]], [np.nan, 1.0]),
-        ([[1.0, 0.5], [1.0, 1.0]], [np.inf, 1.0]),
-        ([[1.0, 0.5], [1.0, 1.0]], [-1.0, 1.0]),
-    ],
-    ids=["nan-cell", "nan-max", "inf-max", "negative-max"],
+    "values",
+    # accepted before: every comparison with a NaN is False
+    [[[np.nan, 0.5], [1.0, 1.0]]],
+    ids=["nan-cell"],
 )
-def test_normalized_matrix_rejects_nan_and_bad_maxima(values, maxima):
+def test_normalized_matrix_rejects_nan_and_bad_maxima(values):
     with pytest.raises(ValueError):
-        NormalizedMatrix(
-            values=np.array(values), criteria=("a", "b"), column_max_used=np.array(maxima)
-        )
+        NormalizedMatrix(values=np.array(values), criteria=("a", "b"))
 
 
 def test_caller_writes_do_not_reach_the_matrix():
     values = np.array([[0.5, 1.0], [1.0, 0.25]])
-    maxima = np.array([2.0, 4.0])
-    n = NormalizedMatrix(values=values[:, :], criteria=("A", "B"), column_max_used=maxima)
+    n = NormalizedMatrix(values=values[:, :], criteria=("A", "B"))
     values[0, 0] = 0.0
-    maxima[0] = 1.0
     assert n.values.tolist() == [[0.5, 1.0], [1.0, 0.25]]
-    assert n.column_max_used.tolist() == [2.0, 4.0]
 
 
 def test_normalized_arrays_are_new_and_read_only():
     m = rating([[1.0, 2.0], [3.0, 0.0]])
     for n in (normalize(m), normalize(normalize(m))):
-        for arr in (n.values, n.column_max_used):
-            assert not arr.flags.writeable
-            assert not np.shares_memory(arr, m.values)
+        assert not n.values.flags.writeable
+        assert not np.shares_memory(n.values, m.values)
     assert not m.values.flags.writeable
 
 

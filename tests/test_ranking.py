@@ -37,6 +37,11 @@ def weight_vector(values, labels):
 UNIFORM2 = weight_vector([0.5, 0.5], ("A", "B"))
 
 
+def halved(s):
+    """A companion vector for rank: the same labels, half the scores."""
+    return ScoreVector(s.labels, s.scores / 2)
+
+
 class TestScore:
     def test_uniform_weights_flat_data(self):
         m = rating([[2.0, 2.0], [2.0, 2.0]], ("A", "B"))
@@ -79,7 +84,7 @@ class TestRank:
             labels=("Parks/Picnic Spots", "Beaches", "Restaurants"),
             scores=np.array([0.6361, 0.5670, 0.1065]),
         )
-        rows = rank(s)
+        rows = rank(s, halved(s))
         assert [r.rank for r in rows] == [1, 2, 3]
         assert [r.label for r in rows] == [
             "Parks/Picnic Spots",
@@ -92,20 +97,20 @@ class TestRank:
             labels=("B", "A"),
             scores=np.array([0.5, 0.5]),
         )
-        rows = rank(s)
+        rows = rank(s, halved(s))
         assert [r.label for r in rows] == ["A", "B"]
         assert [r.rank for r in rows] == [1, 2]
 
     def test_single_criterion(self):
         s = ScoreVector(labels=("only",), scores=np.array([1.0]))
-        rows = rank(s)
+        rows = rank(s, halved(s))
         assert rows[0].rank == 1
-        assert rows[0].score_normalized is None
+        assert rows[0].score_normalized == 0.5
 
     def test_empty_rejected(self):
         s = ScoreVector(labels=(), scores=np.array([]))
         with pytest.raises(EmptyInput):
-            rank(s)
+            rank(s, s)
 
     def test_companion_fills_second_column(self):
         real = ScoreVector(labels=("A", "B"), scores=np.array([2.0, 1.0]))
@@ -126,8 +131,9 @@ class TestRank:
         for _ in range(50):
             values = rng.uniform(0, 1, size=8)
             c = float(rng.uniform(0.01, 100))
-            base = rank(ScoreVector(labels, values))
-            scaled = rank(ScoreVector(labels, values * c))
+            s = ScoreVector(labels, values)
+            base = rank(s, halved(s))
+            scaled = rank(ScoreVector(labels, values * c), halved(s))
             assert [r.label for r in base] == [r.label for r in scaled]
 
     def test_uniform_weights_order_equals_mean_order(self):
@@ -136,7 +142,8 @@ class TestRank:
         w = weight_vector([1 / 6] * 6, labels)
         for _ in range(30):
             m = rating(rng.uniform(0, 4, size=(15, 6)), labels)
-            rows = rank(score(m, w))
+            s = score(m, w)
+            rows = rank(s, halved(s))
             mean_order = [
                 labels[i]
                 for i in sorted(
@@ -153,8 +160,10 @@ class TestRank:
             values = rng.uniform(0, 3.9, size=(12, 5))
             values[0, :] = 4.0  # every column peaks at the same maximum
             m = rating(values, labels)
-            real_rows = rank(score(m, w))
-            norm_rows = rank(score(normalize(m), w))
+            real = score(m, w)
+            norm = score(normalize(m), w)
+            real_rows = rank(real, norm)
+            norm_rows = rank(norm, real)
             assert [r.label for r in real_rows] == [r.label for r in norm_rows]
 
 
@@ -183,13 +192,13 @@ class TestMse:
         assert mse(f, y) >= 0.0
 
 
-def toy_report(scores=(0.5, 0.3, 0.2)):
-    labels = ("A", "B", "C")
-    w = weight_vector([1 / 3] * 3, labels)
-    real = ScoreVector(labels, np.array(scores))
-    norm = ScoreVector(labels, np.array(scores) / 2)
+TOY_SCORES = ScoreVector(("A", "B", "C"), np.array([0.5, 0.3, 0.2]))
+
+
+def toy_report(mse=0.0):
+    w = weight_vector([1 / 3] * 3, TOY_SCORES.labels)
     consistency = check(ComparisonMatrix(entries=np.ones((3, 3))))
-    return build_report(real, norm, consistency, w)
+    return build_report(TOY_SCORES, halved(TOY_SCORES), consistency, w, mse)
 
 
 class TestReportAndValidate:
@@ -201,40 +210,25 @@ class TestReportAndValidate:
         assert scores == sorted(scores, reverse=True)
 
     def test_score_by_label_and_with_mse(self):
-        report = toy_report()
+        report = toy_report(mse=0.25)
         assert report.score_by_label()["B"] == 0.3
-        assert report.mse is None
-        assert report.with_mse(0.25).mse == 0.25
+        assert report.mse == 0.25
 
     def test_validate_identical(self):
-        report = toy_report()
-        record = validate(report, [0.5, 0.3, 0.2], tolerance=1e-3)
+        record = validate(TOY_SCORES, [0.5, 0.3, 0.2], tolerance=1e-3)
         assert record.mse == 0.0
         assert record.passed
 
     def test_validate_small_perturbation_passes(self):
         scores = tuple(np.linspace(1.0, 0.1, 10))
         labels = tuple(f"L{i}" for i in range(10))
-        w = weight_vector([0.1] * 10, labels)
-        real = ScoreVector(labels, np.array(scores))
-        norm = ScoreVector(labels, np.array(scores) / 2)
-        consistency = check(ComparisonMatrix(entries=np.ones((10, 10))))
-        report = build_report(real, norm, consistency, w)
         oracle = list(scores)
         oracle[4] += 0.01
-        record = validate(report, oracle, tolerance=1e-3)
+        record = validate(ScoreVector(labels, np.array(scores)), oracle, tolerance=1e-3)
         assert record.mse == pytest.approx(1e-5, rel=1e-9)
         assert record.passed
 
     def test_validate_wrong_weights_fail(self):
-        report = toy_report()
-        record = validate(report, [1.0, 0.3, 0.2], tolerance=1e-3)
+        record = validate(TOY_SCORES, [1.0, 0.3, 0.2], tolerance=1e-3)
         assert not record.passed
         assert record.mse > 1e-3
-
-    def test_validate_realigns_by_label(self):
-        # report rows are rank-ordered; the oracle vector stays in the
-        # original criteria order, so alignment must go through labels
-        report = toy_report(scores=(0.2, 0.5, 0.3))
-        record = validate(report, [0.2, 0.5, 0.3], tolerance=1e-12)
-        assert record.mse == 0.0
