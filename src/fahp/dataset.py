@@ -80,8 +80,13 @@ class DatasetSchema(Record):
                 "schema 'criteria_columns' must be an object mapping CSV columns "
                 "to criterion labels"
             )
-        items = tuple((str(c), str(lab)) for c, lab in mapping.items())
-        return cls(id_column=doc["id_column"], criteria_columns=items)
+        for column, label in mapping.items():
+            if not isinstance(column, str) or not isinstance(label, str):
+                raise ValueError(
+                    f"schema maps column {column!r} to {label!r}: columns and "
+                    "labels must be strings"
+                )
+        return cls(id_column=doc["id_column"], criteria_columns=tuple(mapping.items()))
 
     @classmethod
     def from_json(cls, path) -> "DatasetSchema":
@@ -157,7 +162,8 @@ def load_csv(
     every criteria column, each exactly once. Cells are trimmed; the
     decimal separator is a dot regardless of locale. Row numbers in errors
     are 1-based data rows (the header is row 0). Fully blank lines are
-    skipped.
+    skipped. A record holding a byte that is not UTF-8 is refused with its
+    row number.
 
     With row_ids=False the id column is checked in the header but its
     cells are not read, and the matrix's row_ids is None.
@@ -170,7 +176,9 @@ def load_csv(
     the first bad cell. A stream is thus read once and never reopened.
     """
     schema = schema or DatasetSchema.default()
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    # a byte that is not UTF-8 becomes a lone surrogate, which the record
+    # that holds it reports (the handle decodes 8 KiB ahead of the reader)
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         id_pos, col_pos = _header_positions(reader, path, schema)
         name = _plain_name(fh, path)
@@ -193,11 +201,13 @@ def _header_positions(reader, path, schema: DatasetSchema) -> tuple[int, list[in
     """Read the header row; return the id column's index and the criteria
     columns' indices, in schema order."""
     try:
-        header = [cell.strip() for cell in next(reader)]
+        record = next(reader)
     except StopIteration:
         raise EmptyDataset(f"{path}: file is empty") from None
     except csv.Error as exc:
         raise UnreadableRecord(0, str(exc)) from None
+    _check_decoded(record, 0)
+    header = [cell.strip() for cell in record]
     positions: dict[str, int] = {}
     repeated = set()
     for idx, name in enumerate(header):
@@ -316,13 +326,28 @@ def _parse_cells(reader, path, columns: list[str], id_pos: int, col_pos: list[in
 
 def _numbered(reader):
     """The data records with their 1-based numbers; a record the csv module
-    cannot read raises UnreadableRecord with its number."""
+    cannot read, or one holding a byte that is not UTF-8, raises
+    UnreadableRecord with its number."""
     row_num = 0
     try:
         for row_num, record in enumerate(reader, start=1):
+            _check_decoded(record, row_num)
             yield row_num, record
     except csv.Error as exc:
         raise UnreadableRecord(row_num + 1, str(exc)) from None
+
+
+def _check_decoded(record: list[str], row_num: int) -> None:
+    """Raise UnreadableRecord when the record holds a lone surrogate: a
+    byte that is not UTF-8, as the surrogateescape handler reads it."""
+    text = "".join(record)
+    if text.isascii():
+        return
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte = ord(text[exc.start]) - 0xDC00
+        raise UnreadableRecord(row_num, f"byte 0x{byte:02x} is not UTF-8") from None
 
 
 def _rating_matrix(values, row_ids, schema: DatasetSchema) -> RatingMatrix:

@@ -10,13 +10,15 @@ scale's largest denominator each bound is an integer numerator. A row sum
 is the integer sum of those numerators, each times the number of cells
 that hold it, divided once by the denominator. Python's int / int is
 correctly rounded, as `math.fsum` of the same terms is, so the two give
-the same float.
+the same float. The cells that hold one value are counted as a run of a
+sorted copy of the row, and the degree loop scans the extents sorted by
+modal value; both use only the standard library's `bisect`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from bisect import bisect_right
 from typing import Sequence
 
 from .errors import NonScaleEntry
@@ -62,8 +64,8 @@ def _match(value: float) -> tuple[int, int, int] | None:
 
 def _first_off_scale(row: list, i: int) -> NonScaleEntry:
     """The error a per-cell loop over row i raises: its first off-scale
-    entry, named with its own column and bits (a row's counts hold -0.0
-    and 0.0 under one key, and may hold the diagonal's value)."""
+    entry, named with its own column and bits (a run of the sorted row
+    holds -0.0 and 0.0 together, in either order)."""
     for j, value in enumerate(row):
         if j != i and _match(float(value)) is None:
             return NonScaleEntry(i, j, float(value))
@@ -73,52 +75,77 @@ def _first_off_scale(row: list, i: int) -> NonScaleEntry:
 def reference_weights(comparison_entries: Sequence[Sequence[float]]) -> list[float]:
     """Crisp comparison matrix to normalized weights, one loop at a time.
 
-    Each row's off-diagonal entries are counted, and each distinct entry
-    is looked up in the scale once per call. A row sum is the exact
-    integer sum of count times numerator, divided once by the scale's
-    denominator: bit-equal to `math.fsum` over the row's cells. A failed
-    lookup names the first off-scale entry in row-major order, as a plain
-    loop would. The degree loop skips pairs with V = 1 and stops at the
-    first disjoint pair, where V = 0.
+    Each row's off-diagonal entries are sorted, and each run of equal
+    entries is measured with `bisect_right` and looked up in the scale
+    once per call. A row holding a NaN is refused before the sort, since
+    a NaN breaks the order and could hide inside a run. A row sum is the
+    exact integer sum of run length times numerator, divided once by the
+    scale's denominator: bit-equal to `math.fsum` over the row's cells. A
+    failed lookup names the first off-scale entry in row-major order, as
+    a plain loop would.
+
+    The degree loop sorts the extents by modal value once. For extent i,
+    `bisect_right` gives the suffix with m_k > m_i; every other pair has
+    V = 1. When the largest lower bound in that suffix reaches u_i, some
+    pair is disjoint and the degree is 0. Otherwise V is computed for each
+    pair of the suffix: the same values a loop over every k takes the
+    minimum of, and min does not depend on their order.
     """
     n = len(comparison_entries)
 
     matched: dict = {}
     row_sums = []
     for i in range(n):
-        row = list(comparison_entries[i])
-        counts = Counter(row)
-        # the very object at (i, i), so a NaN diagonal is taken off too
-        counts[row[i]] -= 1
+        row = comparison_entries[i]
+        # plain floats: on numpy scalars the sum below is numpy's, which
+        # warns on +inf + -inf
+        row = row.tolist() if hasattr(row, "tolist") else list(row)
+        entries = row[:i] + row[i + 1 :]
+        # NaN != NaN: a NaN, or +inf and -inf together, make the sum NaN;
+        # either is off the scale
+        total = sum(entries)
+        if total != total:
+            raise _first_off_scale(row, i)
+        entries.sort()
         # the diagonal is (1, 1, 1): _DEN over _DEN
         l = m = u = _DEN
-        for value, count in counts.items():
-            if not count:
-                continue
+        start = 0
+        while start < len(entries):
+            value = entries[start]
+            end = bisect_right(entries, value, start)
             exact = matched.get(value)
             if exact is None:
                 exact = _match(float(value))
                 if exact is None:
                     raise _first_off_scale(row, i)
                 matched[value] = exact
+            count = end - start
             l += count * exact[0]
             m += count * exact[1]
             u += count * exact[2]
+            start = end
         row_sums.append((l / _DEN, m / _DEN, u / _DEN))
     total_l, total_m, total_u = map(math.fsum, zip(*row_sums))
     extents = [(l / total_u, m / total_m, u / total_l) for l, m, u in row_sums]
 
+    by_modal = sorted(extents, key=lambda extent: extent[1])
+    modals = [m for _, m, _ in by_modal]
+    # top_lower[s]: the largest lower bound among by_modal[s:]
+    top_lower = [-math.inf] * (n + 1)
+    for s in range(n - 1, -1, -1):
+        top_lower[s] = max(top_lower[s + 1], by_modal[s][0])
+
     degrees = []
     for l_i, m_i, u_i in extents:
+        # V(S_i >= S_k) = 1 when m_k <= m_i, k == i included; the rest
+        # have m_k > m_i and start here
+        start = bisect_right(modals, m_i)
+        if top_lower[start] >= u_i:
+            # a disjoint pair: V = 0, the least a degree can be
+            degrees.append(0.0)
+            continue
         best = 1.0
-        for l_k, m_k, u_k in extents:
-            # V(S_i >= S_k) = 1 cannot lower the minimum; k == i lands here
-            if m_i >= m_k:
-                continue
-            if l_k >= u_i:
-                # disjoint: V = 0, the least a degree can be
-                best = 0.0
-                break
+        for l_k, m_k, _ in by_modal[start:]:
             v = (l_k - u_i) / ((m_i - u_i) - (m_k - l_k))
             if v < best:
                 best = v

@@ -60,9 +60,42 @@ def report_to_dict(
     }
 
 
+# the two row lists, one row per criterion, are encoded in C
+_ROW_LISTS = ("weights", "ranking")
+# a row's members are 6 spaces in, its braces 4
+_MEMBER_BREAK = ",\n      "
+
+
 def render_json(report: RankingReport, config_echo: dict, report_scale: float = 1.0) -> str:
+    """report_to_dict's document as `json.dumps(doc, indent=2,
+    ensure_ascii=False)` writes it, plus a final newline.
+
+    With an indent, `json.dumps` runs its pure-Python encoder; without
+    one, the C encoder. So each row list is encoded in C, and the newline
+    and indent text of the indented form goes in around and between its
+    rows. An encoded string never holds a raw newline, so that text never
+    meets a label. The few other members take the indented encoder.
+    """
     doc = report_to_dict(report, config_echo, report_scale)
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    members = []
+    for key, value in doc.items():
+        if key in _ROW_LISTS:
+            text = _rows_json(value)
+        else:
+            text = json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n  ")
+        members.append(f"  {json.dumps(key, ensure_ascii=False)}: {text}")
+    return "{\n" + ",\n".join(members) + "\n}\n"
+
+
+def _rows_json(rows: list[dict]) -> str:
+    """A list of flat objects as the second level of an indent-2 document."""
+    if not rows:
+        return "[]"
+    text = json.dumps(rows, ensure_ascii=False, separators=(_MEMBER_BREAK, ": "))
+    # a member's value is never an object, so "}" then a break then "{" is
+    # always the step from one row to the next
+    text = text.replace("}" + _MEMBER_BREAK + "{", "\n    },\n    {\n      ")
+    return "[\n    {\n      " + text[2:-2] + "\n    }\n  ]"
 
 
 def render_ranking_csv(report: RankingReport, report_scale: float = 1.0) -> str:

@@ -455,10 +455,14 @@ class TestInputErrors:
             {"id_column": "ID", "criteria_columns": [["c1"], ["c2", "Second"]]},
             {"id_column": "ID", "criteria_columns": ["c1", "c2"]},
             {"id_column": "ID", "criteria_columns": [["c1", "First"], ["c2", "Second"]]},
+            {"id_column": "ID", "criteria_columns": {"c1": "First", "c2": None}},
+            {"id_column": "ID", "criteria_columns": {"c1": "First", "c2": 2}},
+            {"id_column": "ID", "criteria_columns": {"c1": "First", "c2": ["x"]}},
         ],
         ids=[
             "list", "null", "string", "no-id", "numeric-id", "number-columns",
-            "short-pair", "string-pairs", "pairs",
+            "short-pair", "string-pairs", "pairs", "null-label", "number-label",
+            "list-label",
         ],
     )
     def test_malformed_schema_document(self, small_inputs, tmp_path, capsys, doc):
@@ -769,6 +773,25 @@ class TestPipedInput:
         with piped(data) as name:
             by_pipe = main(["rank", "--input", name]), capsys.readouterr()
         assert by_file[0] == code
+        assert by_pipe == by_file
+
+    @NEEDS_DEV_FD
+    def test_byte_that_is_not_utf8_is_named_by_its_row(self, tmp_path, capsys):
+        # the bad byte sits far past the text handle's first 8 KiB chunk
+        data = b"\n".join([b"id,a,b", *[b"u,1,2"] * 30_000, b"u,1,\xff"]) + b"\n"
+        path = tmp_path / "ratings.csv"
+        path.write_bytes(data)
+        schema = tmp_path / "schema.json"
+        doc = {"id_column": "id", "criteria_columns": {"a": "A", "b": "B"}}
+        schema.write_text(json.dumps(doc), encoding="utf-8")
+        flags = ["--schema", str(schema)]
+        by_file = main(["rank", "--input", str(path), *flags]), capsys.readouterr()
+        with piped(data) as name:
+            by_pipe = main(["rank", "--input", name, *flags]), capsys.readouterr()
+        assert by_file[0] == EXIT_INPUT_ERROR
+        assert by_file[1].err == (
+            "fahp: ingest: row 30001: CSV record cannot be read: byte 0xff is not UTF-8\n"
+        )
         assert by_pipe == by_file
 
 

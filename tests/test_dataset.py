@@ -460,6 +460,30 @@ class TestIngestPaths:
             load_csv(path, schema)
         assert (err.value.row, err.value.column, err.value.value) == (1, "a", 12.0)
 
+    @pytest.mark.parametrize(
+        "lines, row",
+        [
+            (["id,a,b,caf\udce9", "u1,1.0,2.0,z"], 0),
+            (["id,a,b", *["u,1,2"] * 30_000, "u,1,\udcff"], 30_001),
+            (["id,a,b,x", "u1,1.0,2.0,z", "u2,1.0,2.0,caf\udce9", "u3,1.0,2.0,\udcff"], 2),
+        ],
+        ids=["header", "late-criterion", "unused-column"],
+    )
+    def test_byte_that_is_not_utf8_names_its_row(self, tmp_path, lines, row):
+        # the handle decodes 8 KiB ahead of the records, so the decoder's
+        # position names neither the row nor the file offset
+        data = ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
+        byte = next(ch for ch in "".join(lines) if "\udc80" <= ch <= "\udcff")
+        reason = f"byte 0x{ord(byte) - 0xDC00:02x} is not UTF-8"
+        want = (UnreadableRecord, str(UnreadableRecord(row, reason)))
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        assert _outcome(path, TWO_COL_SCHEMA) == want
+        assert _outcome(path, TWO_COL_SCHEMA, row_ids=False) == want
+        if os.path.isdir("/dev/fd"):
+            with piped(data) as name:
+                assert _outcome(name, TWO_COL_SCHEMA) == want
+
     def test_late_blank_lines_are_skipped(self, tmp_path):
         lines = ["id,a,b", *(f"u{i},1.0,2.0" for i in range(600))]
         lines += ["", " , ", "u,3.0,3.0"]

@@ -113,6 +113,8 @@ def test_unknown_aggregate_is_refused():
 def loop_lookup(value, i, j):
     """The entry's scale row, read off the Fraction scale of tests/oracle.py."""
     if value >= 1.0:
+        if value == math.inf:
+            raise NonScaleEntry(i, j, value)
         k = int(round(value))
         if k in oracle.SCALE and abs(value - k) <= 1e-9:
             return oracle.scale_real(k)
@@ -248,6 +250,45 @@ def test_infinite_entry_or_reciprocal_is_off_scale(value):
     with pytest.raises(NonScaleEntry) as lib:
         fuzzify(SimpleNamespace(entries=np.array(entries)))
     assert (lib.value.i, lib.value.j, lib.value.value) == (1, 2, value)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "row, j",
+    [
+        ([1.0, 8.0, NAN], 2),
+        ([1.0, 8.0, NAN, 8.0], 2),
+        ([2.0, 2.0, 1.0, NAN, 2.0, 2.0, 2.0], 3),
+        ([0.5, NAN, 0.5, 1.0, 0.5, NAN, 0.5], 1),
+        ([2.0, 2.5, 1.0, 2.0, NAN, 2.0, 2.0], 1),
+        ([2.0, INF, 2.0, 1.0, -INF, 2.0, 2.0], 1),
+        ([2.0, -INF, 1.0, 2.0, INF, 2.0, 2.0], 1),
+        ([0.5, 0.5, 0.5, 1.0, INF, 0.5, -INF], 4),
+    ],
+    ids=[
+        "nan-last", "nan-between-equals", "nan-in-a-run", "two-nans",
+        "earlier-off-scale", "inf-then-minus-inf", "minus-inf-then-inf", "infs-after-a-run",
+    ],
+)
+@pytest.mark.parametrize("as_array", [False, True], ids=["lists", "array"])
+def test_entry_that_sorts_inside_a_run_is_named(row, j, as_array):
+    # a NaN breaks the sort's order, so it could hide inside a run of
+    # equal entries; +inf and -inf sort to the ends; each is named where
+    # a per-entry loop meets it first
+    n = len(row)
+    i = row.index(1.0)
+    entries = [[1.0] * n for _ in range(n)]
+    entries[i] = row
+    if as_array:
+        entries = np.array(entries)
+    with pytest.raises(NonScaleEntry) as want:
+        loop_reference_weights(entries)
+    with pytest.raises(NonScaleEntry) as got:
+        reference_weights(entries)
+    assert (got.value.i, got.value.j) == (want.value.i, want.value.j) == (i, j)
+    assert np.float64(got.value.value).tobytes() == np.float64(want.value.value).tobytes()
 
 
 def test_first_off_scale_entry_is_named_after_earlier_matches():

@@ -1,7 +1,9 @@
-"""Report rendering: the matrix dump against a per-cell oracle, CSV quoting."""
+"""Report rendering: the report JSON against the indented encoder, the matrix
+dump against a per-cell oracle, CSV quoting."""
 
 import csv
 import io
+import json
 from contextlib import contextmanager
 from unittest import mock
 
@@ -10,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fahp import report
-from fahp.report import _csv_field, render_matrix_csv
+from fahp import ConsistencyReport, RankingReport, RankRow, RunConfig, WeightVector, report
+from fahp.report import _csv_field, render_json, render_matrix_csv, report_to_dict
 
 # -0.0 and 0.0 compare equal but print differently; repr switches to an
 # exponent below 1e-4 and from 1e16; 5e-324 and 1e-310 are subnormal
@@ -71,6 +73,68 @@ def matrices(draw):
     if layout == "read-only":
         values.setflags(write=False)
     return values
+
+
+# what a JSON string escapes, what it does not (U+2028, non-ASCII), and
+# the text that separates rows and members with or without an indent
+REPORT_LABEL = st.lists(
+    st.one_of(
+        st.sampled_from(['"', "\\", "{", "}", ",", "\n", "\r", "\t", "\u2028", "\u2029",
+                         "\x00", "\x1f", "\x7f", "é", "中", "\U0001f600", "}, {", '", "',
+                         ": ", "},\n    {", ",\n      "]),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=6,
+).map("".join)
+# 1e-05 rounds to 0.0; repr switches to an exponent from 1e16
+REPORT_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-05, 0.00005, 1 / 3, 1e16, 2.5e-5]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+@st.composite
+def ranking_reports(draw):
+    """A report of n = 2, 3 or 200 criteria with any label text, and
+    sometimes no rank rows."""
+    n = draw(st.sampled_from([2, 3, 200]))
+    labels = draw(st.lists(REPORT_LABEL, min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.dirichlet(np.ones(n))
+    # about three in ten weights are 0.0, never all of them
+    zero = rng.random(n) < 0.3
+    zero[rng.integers(n)] = False
+    w[zero] = 0.0
+    w /= w.sum()
+    weights = WeightVector(labels=labels, weights=w, min_degrees=w * draw(REPORT_FLOATS))
+    scores = draw(st.lists(REPORT_FLOATS, min_size=2 * n, max_size=2 * n))
+    rows = tuple(
+        RankRow(rank=r + 1, label=label, score_real=scores[r], score_normalized=scores[n + r])
+        for r, label in enumerate(labels)
+    )
+    # a record may also be built without rank rows
+    rows = rows[: draw(st.sampled_from([n, n, 0]))]
+    consistency = ConsistencyReport(
+        lambda_max=float(n), n=n, ci=draw(REPORT_FLOATS), ir=1.49, cr=draw(REPORT_FLOATS),
+        accepted=draw(st.booleans()),
+        warnings=tuple(draw(st.lists(REPORT_LABEL, max_size=2))),
+    )
+    return RankingReport(rows=rows, mse=draw(REPORT_FLOATS), consistency=consistency,
+                         weights=weights)
+
+
+class TestRenderJson:
+    @given(
+        ranking=ranking_reports(),
+        input_name=REPORT_LABEL,
+        report_scale=st.sampled_from([1.0, 10.0, 0.5, 3.7, 1e-3, 1e6]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_indented_encoder(self, ranking, input_name, report_scale):
+        echo = RunConfig(input=input_name, schema=input_name, report_scale=report_scale).echo()
+        doc = report_to_dict(ranking, echo, report_scale)
+        text = render_json(ranking, echo, report_scale)
+        assert text == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 class TestRenderMatrixCsv:
