@@ -24,6 +24,7 @@ from .pipeline import (
     run,
     run_to_comparison,
     run_to_consistency,
+    run_to_normalized,
 )
 from .ranking import AGGREGATES
 from .report import (
@@ -204,24 +205,22 @@ def cmd_check(config: RunConfig) -> int:
 
 def cmd_dump(config: RunConfig, stage: str) -> int:
     # dumps are for audit and never write the gate's output, so no stage
-    # runs the consistency check
-    result = run_to_comparison(config, row_ids=(stage == "normalized"))
-    if stage in ("normalized", "comparison"):
-        matrix = result.matrix
-        if stage == "normalized":
-            text = render_matrix_csv(
-                [matrix.id_column, *matrix.source_columns],
-                matrix.row_ids,
-                result.normalized.values,
-            )
-        else:
-            text = render_matrix_csv(
-                ["criterion", *matrix.criteria],
-                matrix.criteria,
-                result.comparison.entries,
-            )
+    # runs the consistency check; each runs only the stages it prints
+    if stage == "normalized":
+        matrix, normalized = run_to_normalized(config)
+        text = render_matrix_csv(
+            [matrix.id_column, *matrix.source_columns],
+            matrix.row_ids,
+            normalized.values,
+        )
+    elif stage == "comparison":
+        result = run_to_comparison(config)
+        criteria = result.matrix.criteria
+        text = render_matrix_csv(
+            ["criterion", *criteria], criteria, result.comparison.entries
+        )
     else:
-        result = add_extents(result)
+        result = add_extents(run_to_comparison(config))
         if stage == "fuzzy":
             text = render_fuzzy_json(result.matrix.criteria, result.fuzzy)
         else:

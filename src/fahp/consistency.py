@@ -114,7 +114,7 @@ def build_comparison(means: Sequence[float], rule: str | DerivationRule = "mean_
     return ComparisonMatrix(entries=fn(mu))
 
 
-def lambda_max(c: ComparisonMatrix, max_iterations: int = POWER_ITERATION_CAP) -> float:
+def lambda_max(c: ComparisonMatrix) -> float:
     """Dominant eigenvalue by power iteration.
 
     Positive matrices have a simple dominant eigenvalue, so iteration from
@@ -125,14 +125,14 @@ def lambda_max(c: ComparisonMatrix, max_iterations: int = POWER_ITERATION_CAP) -
     a = c.entries
     v = np.ones(c.n, dtype=float)
     previous = None
-    for _ in range(max_iterations):
+    for _ in range(POWER_ITERATION_CAP):
         w = a @ v
         quotient = float(v @ w) / float(v @ v)
         if previous is not None and abs(quotient - previous) < POWER_ITERATION_TOL:
             return quotient
         previous = quotient
         v = w / np.linalg.norm(w)
-    raise NoConvergence(max_iterations)
+    raise NoConvergence(POWER_ITERATION_CAP)
 
 
 def consistency_index(t: float, n: int) -> float:

@@ -1,9 +1,10 @@
 """End-to-end pipeline shared by the CLI and the demo scripts.
 
-Stage order: ingest -> normalize -> build_comparison -> consistency gate
--> fuzzify -> synthetic extents -> weights -> score -> validate -> rank.
-Failures are wrapped with the offending stage named; a failed gate raises
-GateRejected unless the config forces continuation.
+Stage order: ingest -> build_comparison -> consistency gate -> fuzzify
+-> synthetic extents -> weights -> normalize -> score -> validate -> rank;
+the normalized dump runs ingest and normalize only. Failures are wrapped
+with the offending stage named; a failed gate raises GateRejected unless
+the config forces continuation.
 """
 
 from __future__ import annotations
@@ -73,14 +74,10 @@ class PipelineResult(Record):
     """The intermediates a run produced that reports, dumps and demos read;
     the weights and scores are read from the report.
 
-    matrix.row_ids is None unless the run was asked for the ids: only
-    run_to_comparison(config, row_ids=True), which the normalized dump
-    calls, reads them.
+    matrix.row_ids is None: no stage of the method reads the id column.
     """
 
-    config: RunConfig
     matrix: RatingMatrix
-    normalized: NormalizedMatrix
     comparison: ComparisonMatrix
     consistency: ConsistencyReport | None = None
     fuzzy: FuzzyComparisonMatrix | None = None
@@ -108,28 +105,27 @@ class _stage:
         return False
 
 
-def _load_schema(config: RunConfig) -> DatasetSchema:
-    if config.schema is None:
-        return DatasetSchema.default()
-    return DatasetSchema.from_json(config.schema)
-
-
-def run_to_comparison(config: RunConfig, *, row_ids: bool = False) -> PipelineResult:
-    """Run ingest through the comparison matrix; the id column is read only
-    with row_ids=True, since no stage of the method uses it."""
+def _ingest(config: RunConfig, *, row_ids: bool = False) -> RatingMatrix:
     with _stage("ingest"):
-        schema = _load_schema(config)
-        matrix = load_csv(config.input, schema, row_ids=row_ids)
+        schema = None if config.schema is None else DatasetSchema.from_json(config.schema)
+        return load_csv(config.input, schema, row_ids=row_ids)
+
+
+def run_to_normalized(config: RunConfig) -> tuple[RatingMatrix, NormalizedMatrix]:
+    """Ingest with the row ids and normalize: all the normalized dump
+    prints, so no comparison matrix is derived."""
+    matrix = _ingest(config, row_ids=True)
     with _stage("normalize"):
-        normalized = normalize(matrix)
+        return matrix, normalize(matrix)
+
+
+def run_to_comparison(config: RunConfig) -> PipelineResult:
+    """Run ingest through the comparison matrix; the id column is not
+    read, since no stage of the method uses it."""
+    matrix = _ingest(config)
     with _stage("comparison"):
         comparison = build_comparison(column_means(matrix), rule=config.derivation)
-    return PipelineResult(
-        config=config,
-        matrix=matrix,
-        normalized=normalized,
-        comparison=comparison,
-    )
+    return PipelineResult(matrix=matrix, comparison=comparison)
 
 
 def run_to_consistency(config: RunConfig) -> PipelineResult:
@@ -164,9 +160,11 @@ def run(config: RunConfig) -> PipelineResult:
     partial = add_extents(partial)
     with _stage("weights"):
         weight_vector = weights(partial.extents, labels=partial.matrix.criteria)
+    with _stage("normalize"):
+        normalized = normalize(partial.matrix)
     with _stage("score"):
         real_scores = score(partial.matrix, weight_vector, config.aggregate)
-        normalized_scores = score(partial.normalized, weight_vector, config.aggregate)
+        normalized_scores = score(normalized, weight_vector, config.aggregate)
     with _stage("validate"):
         # column views, not lists: no Python float is held per cell
         oracle = reference_scores(

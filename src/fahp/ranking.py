@@ -118,7 +118,6 @@ def mse(f: Sequence[float], y: Sequence[float]) -> float:
 
 class ValidationRecord(Record):
     mse: float
-    tolerance: float
     passed: bool
 
 
@@ -132,4 +131,4 @@ def validate(
     oracle_scores must be ordered like scores.labels, the criteria order.
     """
     value = mse(scores.scores, oracle_scores)
-    return ValidationRecord(mse=value, tolerance=tolerance, passed=value <= tolerance)
+    return ValidationRecord(mse=value, passed=value <= tolerance)

@@ -750,6 +750,36 @@ class TestRowIds:
         assert calls == [reads_ids]
 
 
+
+class TestStagesPerCommand:
+    """Each command runs only the stages whose output it prints."""
+
+    @pytest.mark.parametrize(
+        "argv, counts",
+        [
+            (["rank"], (1, 1, 1)),
+            (["check"], (0, 1, 1)),
+            (["dump", "--dump", "normalized"], (1, 0, 0)),
+            *((["dump", "--dump", stage], (0, 1, 1)) for stage in cli.DUMP_STAGES[1:]),
+        ],
+        ids=["rank", "check", *cli.DUMP_STAGES],
+    )
+    def test_stage_calls(self, small_inputs, monkeypatch, capsys, argv, counts):
+        calls = dict.fromkeys(("normalize", "column_means", "build_comparison"), 0)
+        for name in calls:
+            original = getattr(pipeline, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        csv_path, schema_path = small_inputs
+        command, *flags = argv
+        assert main([command, "--input", csv_path, "--schema", schema_path, *flags]) == EXIT_OK
+        assert tuple(calls.values()) == counts
+
+
 class TestPipedInput:
     """The same bytes rank the same through a pipe as from a file."""
 
@@ -850,6 +880,7 @@ class TestFlagsPerCommand:
         csv_path, schema_path = small_inputs
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(cli, "run_to_comparison", no_stage)
+        monkeypatch.setattr(cli, "run_to_normalized", no_stage)
         code = main(
             [
                 "dump",

@@ -16,6 +16,7 @@ from fahp import (
     ZeroRandomIndex,
     build_comparison,
     check,
+    consistency,
     consistency_index,
     consistency_ratio,
     lambda_max,
@@ -125,10 +126,11 @@ class TestLambdaMax:
             expected = float(max(np.linalg.eigvals(entries).real))
             assert lambda_max(c) == pytest.approx(expected, abs=1e-8)
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         c = matrix([[1, 9, 1 / 9], [1 / 9, 1, 9], [9, 1 / 9, 1]])
+        monkeypatch.setattr(consistency, "POWER_ITERATION_CAP", 1)
         with pytest.raises(NoConvergence):
-            lambda_max(c, max_iterations=1)
+            lambda_max(c)
 
     def test_consistent_matrices_from_positive_weights(self):
         rng = np.random.default_rng(33)
