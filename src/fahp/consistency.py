@@ -8,6 +8,7 @@ the matrix is usable (CR <= 0.1).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -121,17 +122,25 @@ def lambda_max(c: ComparisonMatrix) -> float:
     the all-ones vector converges; successive Rayleigh quotients closer
     than POWER_ITERATION_TOL stop it. A perfectly consistent matrix
     returns n within 1e-9.
+
+    No step calls BLAS, whose kernel, chosen per CPU, decides the last
+    bits: a product is an elementwise multiply and a pairwise row sum
+    (numpy's add.reduce), and the three scalar products are math.fsum
+    sums, so the result has the same bits on every host.
     """
     a = c.entries
-    v = np.ones(c.n, dtype=float)
+    products = np.empty_like(a)
+    w = np.empty(c.n)
+    v = np.ones(c.n)
     previous = None
     for _ in range(POWER_ITERATION_CAP):
-        w = a @ v
-        quotient = float(v @ w) / float(v @ v)
+        np.multiply(a, v, out=products)
+        np.add.reduce(products, axis=1, out=w)
+        quotient = math.fsum((v * w).tolist()) / math.fsum((v * v).tolist())
         if previous is not None and abs(quotient - previous) < POWER_ITERATION_TOL:
             return quotient
         previous = quotient
-        v = w / np.linalg.norm(w)
+        v = w / math.sqrt(math.fsum((w * w).tolist()))
     raise NoConvergence(POWER_ITERATION_CAP)
 
 

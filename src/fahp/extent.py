@@ -101,10 +101,13 @@ class WeightVector(Record):
             raise ValueError("weights and min_degrees must be equal-length vectors")
         if len(self.labels) != w.size:
             raise ValueError("one label per weight required")
-        if np.any(w < 0):
+        # written so that a NaN fails each check
+        if not np.all(w >= 0):
             raise ValueError("weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > 1e-9:
+        if not abs(float(w.sum()) - 1.0) <= 1e-9:
             raise ValueError(f"weights must sum to 1, got {float(w.sum())!r}")
+        if not np.all(np.isfinite(d)):
+            raise ValueError("min_degrees must be finite")
         object.__setattr__(self, "weights", frozen(w))
         object.__setattr__(self, "min_degrees", frozen(d))
         object.__setattr__(self, "labels", tuple(self.labels))

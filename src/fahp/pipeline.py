@@ -14,13 +14,14 @@ import math
 import numpy as np
 
 from .consistency import (
+    DERIVATION_RULES,
     ComparisonMatrix,
     ConsistencyReport,
     build_comparison,
     check,
 )
 from .dataset import DatasetSchema, RatingMatrix, column_means, load_csv
-from .errors import FahpError, GateRejected, PipelineError
+from .errors import FahpError, GateRejected, PipelineError, UnknownDerivationRule
 from .extent import synthetic_extents, weights
 from .normalize import NormalizedMatrix, normalize
 from .ranking import RankingReport, ValidationRecord, build_report, score, validate
@@ -54,6 +55,8 @@ class RunConfig(Record):
     def __post_init__(self):
         if self.ir_mode not in MODES:
             raise ValueError(f"ir_mode must be one of {MODES}")
+        if self.derivation not in DERIVATION_RULES:
+            raise UnknownDerivationRule(self.derivation, sorted(DERIVATION_RULES))
         if not (math.isfinite(self.report_scale) and self.report_scale > 0):
             raise ValueError("report_scale must be finite and positive")
         if not (math.isfinite(self.mse_tol) and self.mse_tol > 0):

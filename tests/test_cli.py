@@ -170,6 +170,48 @@ class TestRank:
             outputs.append([(out / name).read_bytes() for name in artifacts.values()])
         assert outputs[0] == outputs[1]
 
+    def test_report_bytes_do_not_depend_on_the_cpu_kernels(self, dataset_path, tmp_path):
+        # OpenBLAS picks its kernels by core type and numpy by CPU feature;
+        # neither may change a report byte. A core type runs only where
+        # the CPU has its features, and a mask names only features the
+        # running numpy dispatches.
+        try:
+            from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        except ImportError:  # numpy < 2
+            from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        base = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        base.pop("OPENBLAS_CORETYPE", None)
+        base.pop("NPY_DISABLE_CPU_FEATURES", None)
+        settings = [{}]
+        for core, needs in [
+            ("Prescott", ("SSE3",)),
+            ("Sandybridge", ("AVX",)),
+            ("Haswell", ("AVX2", "FMA3")),
+        ]:
+            if all(__cpu_features__.get(f) for f in needs):
+                settings.append({"OPENBLAS_CORETYPE": core})
+        # every dispatched feature, and the upper half of the list alone
+        dispatched = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+        masks = {" ".join(dispatched), " ".join(dispatched[len(dispatched) // 2:])}
+        settings += [{"NPY_DISABLE_CPU_FEATURES": mask} for mask in sorted(masks) if mask]
+        reports = []
+        for number, setting in enumerate(settings):
+            out = tmp_path / f"report{number}.json"
+            done = subprocess.run(
+                [
+                    sys.executable, "-m", "fahp.cli", "rank",
+                    "--input", str(dataset_path), "--out-json", str(out),
+                ],
+                env={**base, **setting},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == EXIT_OK, (setting, done.stderr)
+            reports.append(out.read_bytes())
+        for setting, report in zip(settings[1:], reports[1:]):
+            assert report == reports[0], setting
+
     def test_config_echo_reproduces_the_report(self, dataset_path, tmp_path):
         out_json = tmp_path / "report.json"
         main(
@@ -321,6 +363,37 @@ class TestInputErrors:
         )
         assert code == EXIT_INPUT_ERROR
         assert "unknown derivation rule" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["rank"], ["check"], *(["dump", "--dump", stage] for stage in cli.DUMP_STAGES)],
+        ids=["rank", "check", *cli.DUMP_STAGES],
+    )
+    def test_unknown_derivation_rule_is_refused_before_ingest(
+        self, small_inputs, monkeypatch, capsys, argv
+    ):
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("the input was read")
+
+        monkeypatch.setattr(pipeline, "load_csv", no_ingest)
+        csv_path, schema_path = small_inputs
+        command, *flags = argv
+        code = main(
+            [
+                command,
+                "--input", csv_path,
+                "--schema", schema_path,
+                "--derivation", "nonsense",
+                *flags,
+            ]
+        )
+        assert code == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "fahp: config: unknown derivation rule 'nonsense'; "
+            "known rules: mean_gap, uniform\n"
+        )
+        assert captured.out == ""
 
     def test_single_criterion_schema(self, tmp_path, capsys):
         csv_path = tmp_path / "one.csv"

@@ -240,3 +240,20 @@ class TestWeights:
                 weights=np.array([0.5, 0.5]),
                 min_degrees=np.array([1.0, 1.0]),
             )
+
+    @pytest.mark.parametrize(
+        "weight_values, min_degrees",
+        [
+            ([np.nan, np.nan], [1.0, 1.0]),
+            ([np.nan, 1.0], [1.0, 1.0]),
+            ([0.5, 0.5], [np.nan, 1.0]),
+        ],
+        ids=["nan-weights", "nan-weight", "nan-min-degree"],
+    )
+    def test_weight_vector_refuses_nan(self, weight_values, min_degrees):
+        with pytest.raises(ValueError):
+            WeightVector(
+                labels=("a", "b"),
+                weights=np.array(weight_values),
+                min_degrees=np.array(min_degrees),
+            )
