@@ -123,10 +123,9 @@ def lambda_max(c: ComparisonMatrix) -> float:
     than POWER_ITERATION_TOL stop it. A perfectly consistent matrix
     returns n within 1e-9.
 
-    No step calls BLAS, whose kernel, chosen per CPU, decides the last
-    bits: a product is an elementwise multiply and a pairwise row sum
-    (numpy's add.reduce), and the three scalar products are math.fsum
-    sums, so the result has the same bits on every host.
+    No step calls BLAS, whose kernel is chosen per CPU: a product is an
+    elementwise multiply and numpy's pairwise row sum, and the scalar
+    products are math.fsum sums, so the bits are the same on every host.
     """
     a = c.entries
     products = np.empty_like(a)

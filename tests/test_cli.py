@@ -823,7 +823,6 @@ class TestRowIds:
         assert calls == [reads_ids]
 
 
-
 class TestStagesPerCommand:
     """Each command runs only the stages whose output it prints."""
 
