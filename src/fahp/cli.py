@@ -20,7 +20,8 @@ from .errors import (
 from .pipeline import (
     MODES,
     RunConfig,
-    add_extents,
+    extents_stage,
+    fuzzify_stage,
     run,
     run_to_comparison,
     run_to_consistency,
@@ -160,7 +161,7 @@ def _write_output(path: str, text: str) -> None:
         raise UnwritableOutput(path, exc.strerror or str(exc)) from exc
 
 
-def cmd_rank(config: RunConfig) -> int:
+def cmd_rank(config: RunConfig, args: argparse.Namespace) -> int:
     result = run(config)
     report = result.report
     for row in report.rows:
@@ -168,12 +169,12 @@ def cmd_rank(config: RunConfig) -> int:
             if not math.isfinite(value * config.report_scale):
                 raise ScaledScoreOverflow(row.label, config.report_scale)
     echo = config.echo()
-    if config.out_json:
-        _write_output(config.out_json, render_json(report, echo, config.report_scale))
-    if config.out_csv:
-        _write_output(config.out_csv, render_ranking_csv(report, config.report_scale))
-    if config.out_svg:
-        _write_output(config.out_svg, render_scores_svg(report, config.report_scale))
+    if args.out_json:
+        _write_output(args.out_json, render_json(report, echo, config.report_scale))
+    if args.out_csv:
+        _write_output(args.out_csv, render_ranking_csv(report, config.report_scale))
+    if args.out_svg:
+        _write_output(args.out_svg, render_scores_svg(report, config.report_scale))
 
     cons = report.consistency
     print(f"consistency: cr = {cons.cr:.4f}, accepted = {str(cons.accepted).lower()}")
@@ -203,32 +204,30 @@ def cmd_check(config: RunConfig) -> int:
     return EXIT_OK if cons.accepted else EXIT_GATE_REJECTED
 
 
-def cmd_dump(config: RunConfig, stage: str) -> int:
+def cmd_dump(config: RunConfig, args: argparse.Namespace) -> int:
     # dumps are for audit and never write the gate's output, so no stage
     # runs the consistency check; each runs only the stages it prints
-    if stage == "normalized":
+    if args.dump == "normalized":
         matrix, normalized = run_to_normalized(config)
         text = render_matrix_csv(
             [matrix.id_column, *matrix.source_columns],
             matrix.row_ids,
             normalized.values,
         )
-    elif stage == "comparison":
+    else:
         result = run_to_comparison(config)
         criteria = result.matrix.criteria
-        text = render_matrix_csv(
-            ["criterion", *criteria], criteria, result.comparison.entries
-        )
-    else:
-        result = add_extents(run_to_comparison(config))
-        if stage == "fuzzy":
-            text = render_fuzzy_json(result.matrix.criteria, result.fuzzy)
-        else:
+        if args.dump == "comparison":
             text = render_matrix_csv(
-                ["label", "l", "m", "u"], result.matrix.criteria, result.extents
+                ["criterion", *criteria], criteria, result.comparison.entries
             )
+        elif args.dump == "fuzzy":
+            text = render_fuzzy_json(criteria, fuzzify_stage(result.comparison))
+        else:
+            extents = extents_stage(fuzzify_stage(result.comparison))
+            text = render_matrix_csv(["label", "l", "m", "u"], criteria, extents)
 
-    out_path = config.out_json if stage == "fuzzy" else config.out_csv
+    out_path = args.out_json if args.dump == "fuzzy" else args.out_csv
     if out_path:
         _write_output(out_path, text)
     else:
@@ -253,10 +252,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "rank":
-            return cmd_rank(config)
+            return cmd_rank(config, args)
         if args.command == "check":
             return cmd_check(config)
-        return cmd_dump(config, args.dump)
+        return cmd_dump(config, args)
     except GateRejected as exc:
         print(f"fahp: consistency: {exc}", file=sys.stderr)
         return EXIT_GATE_REJECTED

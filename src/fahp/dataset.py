@@ -61,6 +61,12 @@ class DatasetSchema(Record):
             raise ValueError("duplicate criterion labels in schema")
         if self.id_column in names:
             raise ValueError("id column cannot double as a criteria column")
+        # JSON can spell a lone surrogate ("\udc80"), which no output can encode
+        for name in (self.id_column, *names, *labels):
+            try:
+                name.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"schema name {name!r} is not UTF-8 text") from None
 
     @property
     def columns(self) -> list[str]:

@@ -113,13 +113,6 @@ class NonScaleEntry(FahpError):
         )
 
 
-class AllZeroDegrees(FahpError):
-    def __init__(self):
-        super().__init__(
-            "every minimum possibility degree is 0; weights cannot be normalized"
-        )
-
-
 class DimensionMismatch(FahpError):
     def __init__(self, data_cols: int, weight_len: int):
         self.data_cols = data_cols

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AllZeroDegrees, TooFewCriteria
+from .errors import TooFewCriteria
 from .record import Record, frozen
 from .tfn import ROW_TABLE, FuzzyComparisonMatrix, Tfn
 
@@ -75,12 +75,14 @@ def possibility(m2: Tfn, m1: Tfn) -> float:
 
 
 def min_degrees(extents: np.ndarray) -> np.ndarray:
-    """Smallest possibility that each extent dominates every other one."""
+    """Smallest possibility that each extent dominates every other one,
+    capped at 1."""
     if len(extents) < 2:
         raise TooFewCriteria(len(extents))
-    degree = possibility_matrix(extents)
-    np.fill_diagonal(degree, np.inf)
-    return degree.min(axis=1)
+    # the diagonal V(S_i >= S_i) = 1 stays in the fold as the cap: an
+    # overlap ordinate is below 1, but rounding can lift it one ulp past
+    # when m_i and m_k are an ulp apart
+    return possibility_matrix(extents).min(axis=1)
 
 
 class WeightVector(Record):
@@ -106,8 +108,8 @@ class WeightVector(Record):
             raise ValueError("weights must be nonnegative")
         if not abs(float(w.sum()) - 1.0) <= 1e-9:
             raise ValueError(f"weights must sum to 1, got {float(w.sum())!r}")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("min_degrees must be finite")
+        if not np.all((d >= 0) & (d <= 1)):
+            raise ValueError("min_degrees must lie in [0, 1]")
         object.__setattr__(self, "weights", frozen(w))
         object.__setattr__(self, "min_degrees", frozen(d))
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -119,16 +121,12 @@ class WeightVector(Record):
 def weights(extents: np.ndarray, labels: Sequence[str] | None = None) -> WeightVector:
     """Normalize the minimum degrees into the weight vector.
 
-    Raises AllZeroDegrees when every minimum degree is 0 (mutually
-    disjoint extents), which cannot happen for extents computed from a
-    valid fuzzy comparison matrix.
+    The degrees cannot all be 0: the extent with the largest modal value
+    has degree 1 against every other one.
     """
     d = min_degrees(extents)
-    total = float(d.sum())
-    if total == 0.0:
-        raise AllZeroDegrees()
     if labels is None:
         labels = tuple(f"C{i + 1}" for i in range(len(extents)))
     return WeightVector(
-        labels=tuple(labels), weights=d / total, min_degrees=d
+        labels=tuple(labels), weights=d / d.sum(), min_degrees=d
     )

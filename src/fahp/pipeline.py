@@ -24,8 +24,15 @@ from .dataset import DatasetSchema, RatingMatrix, column_means, load_csv
 from .errors import FahpError, GateRejected, PipelineError, UnknownDerivationRule
 from .extent import synthetic_extents, weights
 from .normalize import NormalizedMatrix, normalize
-from .ranking import RankingReport, ValidationRecord, build_report, score, validate
-from .record import Record, replace
+from .ranking import (
+    AGGREGATES,
+    RankingReport,
+    ValidationRecord,
+    build_report,
+    score,
+    validate,
+)
+from .record import Record
 from .reference import reference_scores
 # default_scale_table is unused here, but perfbench/spans.py traces it by this name
 from .tfn import FuzzyComparisonMatrix, default_scale_table, fuzzify  # noqa: F401
@@ -46,9 +53,6 @@ class RunConfig(Record):
     derivation: str = "mean_gap"
     aggregate: str = "mean"
     report_scale: float = 1.0
-    out_json: str | None = None
-    out_csv: str | None = None
-    out_svg: str | None = None
     mse_tol: float = 1e-3
     force: bool = False
 
@@ -57,20 +61,18 @@ class RunConfig(Record):
             raise ValueError(f"ir_mode must be one of {MODES}")
         if self.derivation not in DERIVATION_RULES:
             raise UnknownDerivationRule(self.derivation, sorted(DERIVATION_RULES))
+        if self.aggregate not in AGGREGATES:
+            raise ValueError(f"aggregate must be one of {AGGREGATES}")
         if not (math.isfinite(self.report_scale) and self.report_scale > 0):
             raise ValueError("report_scale must be finite and positive")
         if not (math.isfinite(self.mse_tol) and self.mse_tol > 0):
             raise ValueError("mse_tol must be finite and positive")
 
     def echo(self) -> dict:
-        """Report-facing view, so `RunConfig(**echo)` rebuilds the run;
-        output paths are omitted on purpose so the report bytes never
-        depend on where they are written."""
-        return {
-            name: getattr(self, name)
-            for name in self._fields
-            if not name.startswith("out_")
-        }
+        """Report-facing view, so `RunConfig(**echo)` rebuilds the run. No
+        field is an output path, so the report bytes never depend on
+        where they are written."""
+        return {name: getattr(self, name) for name in self._fields}
 
 
 class PipelineResult(Record):
@@ -83,8 +85,6 @@ class PipelineResult(Record):
     matrix: RatingMatrix
     comparison: ComparisonMatrix
     consistency: ConsistencyReport | None = None
-    fuzzy: FuzzyComparisonMatrix | None = None
-    extents: np.ndarray | None = None
     report: RankingReport | None = None
     validation: ValidationRecord | None = None
 
@@ -139,18 +139,20 @@ def run_to_consistency(config: RunConfig) -> PipelineResult:
         report = check(
             partial.comparison, ir_mode=config.ir_mode, force_lambda_max=forced
         )
-    return replace(partial, consistency=report)
+    return PipelineResult(partial.matrix, partial.comparison, report)
 
 
-def add_extents(partial: PipelineResult) -> PipelineResult:
-    """Fuzzify the comparison matrix and add the synthetic extents; no
-    gate is applied, so the fuzzy and extents dumps call this straight
-    after run_to_comparison."""
+def fuzzify_stage(comparison: ComparisonMatrix) -> FuzzyComparisonMatrix:
+    """The fuzzify stage; it applies no gate, so the fuzzy and extents
+    dumps call it straight after run_to_comparison."""
     with _stage("fuzzify"):
-        fuzzy = fuzzify(partial.comparison)
+        return fuzzify(comparison)
+
+
+def extents_stage(fuzzy: FuzzyComparisonMatrix) -> np.ndarray:
+    """The synthetic-extents stage, also ungated."""
     with _stage("extents"):
-        extents = synthetic_extents(fuzzy)
-    return replace(partial, fuzzy=fuzzy, extents=extents)
+        return synthetic_extents(fuzzy)
 
 
 def run(config: RunConfig) -> PipelineResult:
@@ -160,9 +162,9 @@ def run(config: RunConfig) -> PipelineResult:
     partial = run_to_consistency(config)
     if not partial.consistency.accepted and not config.force:
         raise GateRejected(partial.consistency)
-    partial = add_extents(partial)
+    extents = extents_stage(fuzzify_stage(partial.comparison))
     with _stage("weights"):
-        weight_vector = weights(partial.extents, labels=partial.matrix.criteria)
+        weight_vector = weights(extents, labels=partial.matrix.criteria)
     with _stage("normalize"):
         normalized = normalize(partial.matrix)
     with _stage("score"):
@@ -185,4 +187,6 @@ def run(config: RunConfig) -> PipelineResult:
             record.mse,
         )
 
-    return replace(partial, report=report, validation=record)
+    return PipelineResult(
+        partial.matrix, partial.comparison, partial.consistency, report, record
+    )

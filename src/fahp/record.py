@@ -83,13 +83,6 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-def replace(record: Record, /, **changes) -> Record:
-    """A new record with some fields changed; __post_init__ runs again."""
-    values = {name: getattr(record, name) for name in record._fields}
-    values.update(changes)
-    return type(record)(**values)
-
-
 def frozen(arr):
     """The read-only array a record keeps for the numpy array arr: arr
     itself when it is read-only and owns its data, which its holder thereby

@@ -1,6 +1,7 @@
 """Ingestion: schema handling, validation errors, and mean statistics."""
 
 import csv
+import json
 import os
 import warnings
 from unittest import mock
@@ -70,6 +71,22 @@ class TestSchema:
     def test_empty_criteria_rejected(self):
         with pytest.raises(ValueError):
             DatasetSchema(id_column="id", criteria_columns=())
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"id_column": "\udc80", "criteria_columns": {"a": "A", "b": "B"}},
+            {"id_column": "id", "criteria_columns": {"a\udcff": "A", "b": "B"}},
+            {"id_column": "id", "criteria_columns": {"a": "A", "b": "B\ud800"}},
+        ],
+        ids=["id-column", "column", "label"],
+    )
+    def test_lone_surrogate_rejected(self, tmp_path, doc):
+        # valid JSON: json.dumps spells each surrogate as a \u escape
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(doc), encoding="ascii")
+        with pytest.raises(ValueError, match="is not UTF-8 text"):
+            DatasetSchema.from_json(path)
 
 
 class TestLoadCsv:

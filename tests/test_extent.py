@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fahp.extent
 import oracle
 from conftest import random_codes
 from fahp import (
-    AllZeroDegrees,
     ComparisonMatrix,
     FuzzyComparisonMatrix,
     Tfn,
@@ -177,6 +175,21 @@ class TestMinDegrees:
         with pytest.raises(TooFewCriteria):
             min_degrees(np.array([[1, 2, 3]]))
 
+    def test_capped_at_one_when_modal_values_are_an_ulp_apart(self):
+        # the overlap ordinate of the lower extent rounds to 1 + 2**-52
+        extents = np.array(
+            [
+                [float.fromhex(x) for x in row]
+                for row in (
+                    ("0x1.4892c46b6399fp-3", "0x1.0aafc89c18336p-2", "0x1.99e083867b462p+0"),
+                    ("0x1.c66cd3b66eff4p-3", "0x1.0aafc89c18337p-2", "0x1.71162f027e99ep-2"),
+                )
+            ]
+        )
+        assert possibility_matrix(extents)[0, 1] == 1.0000000000000002
+        assert min_degrees(extents).tolist() == [1.0, 1.0]
+        assert weights(extents).weights.tolist() == [0.5, 0.5]
+
 
 class TestWeights:
     def test_uniform_ten(self):
@@ -198,15 +211,6 @@ class TestWeights:
     def test_default_labels(self):
         w = weights(np.array([[2, 3, 4], [1, 2, 3.5]]))
         assert w.labels == ("C1", "C2")
-
-    def test_all_zero_degrees_guard(self, monkeypatch):
-        # unreachable from valid extents (the largest modal value always
-        # keeps degree 1), so force the defensive branch directly
-        monkeypatch.setattr(
-            fahp.extent, "min_degrees", lambda extents: np.zeros(len(extents))
-        )
-        with pytest.raises(AllZeroDegrees):
-            fahp.extent.weights(np.array([[1, 2, 3], [1, 2, 3]]))
 
     def test_label_permutation_equivariance(self):
         rng = np.random.default_rng(53)
@@ -256,4 +260,17 @@ class TestWeights:
                 labels=("a", "b"),
                 weights=np.array(weight_values),
                 min_degrees=np.array(min_degrees),
+            )
+
+    @pytest.mark.parametrize(
+        "degrees",
+        [[-1e6, 3.0], [-0.25, 1.0], [1.0, 1.0000000000000002], [np.inf, 1.0]],
+        ids=["far-out", "negative", "one-ulp-above", "infinite"],
+    )
+    def test_weight_vector_refuses_degrees_outside_the_unit_interval(self, degrees):
+        with pytest.raises(ValueError, match=r"min_degrees must lie in \[0, 1\]"):
+            WeightVector(
+                labels=("a", "b"),
+                weights=np.array([0.5, 0.5]),
+                min_degrees=np.array(degrees),
             )

@@ -31,7 +31,7 @@ def rating(values, labels):
 
 def weight_vector(values, labels):
     w = np.asarray(values, dtype=float)
-    return WeightVector(labels=tuple(labels), weights=w, min_degrees=w * len(w))
+    return WeightVector(labels=tuple(labels), weights=w, min_degrees=w / w.max())
 
 
 UNIFORM2 = weight_vector([0.5, 0.5], ("A", "B"))

@@ -15,7 +15,7 @@ from fahp import (
     RunConfig,
 )
 from fahp import cli
-from fahp.record import Record, replace
+from fahp.record import Record
 
 from conftest import REPO_ROOT
 
@@ -138,28 +138,10 @@ class TestValue:
         )
 
 
-class TestReplace:
-    def test_changes_one_field(self):
-        config = RunConfig(input="x.csv")
-        changed = replace(config, mse_tol=1e-6)
-        assert changed.mse_tol == 1e-6
-        assert changed.input == "x.csv"
-        assert config.mse_tol == 1e-3
-
-    def test_reruns_validation(self):
-        config = RunConfig(input="x.csv")
-        with pytest.raises(ValueError, match="mse_tol"):
-            replace(config, mse_tol=-1.0)
-
-    def test_unknown_field(self):
-        with pytest.raises(TypeError, match="unexpected keyword argument 'nope'"):
-            replace(Point(1), nope=2)
-
-
 class TestRunConfigFields:
     NAMES = (
         "input", "schema", "ir_mode", "derivation", "aggregate", "report_scale",
-        "out_json", "out_csv", "out_svg", "mse_tol", "force",
+        "mse_tol", "force",
     )
 
     def test_field_order(self):
@@ -167,7 +149,7 @@ class TestRunConfigFields:
 
     def test_echo_follows_field_order(self):
         echo = RunConfig(input="x.csv").echo()
-        assert tuple(echo) == tuple(n for n in self.NAMES if not n.startswith("out_"))
+        assert tuple(echo) == self.NAMES
 
     def test_cli_defaults_come_from_the_fields(self):
         args = cli.build_parser().parse_args(["rank", "--input", "x.csv"])

@@ -91,6 +91,10 @@ REPORT_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-05, 0.00005, 1 / 3, 1e16, 2.5e-5]),
     st.floats(-1e6, 1e6, allow_nan=False),
 )
+DEGREE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-05, 0.00005, 1 / 3, 2.5e-5, 1.0]),
+    st.floats(0, 1),
+)
 
 
 @st.composite
@@ -106,7 +110,10 @@ def ranking_reports(draw):
     zero[rng.integers(n)] = False
     w[zero] = 0.0
     w /= w.sum()
-    weights = WeightVector(labels=labels, weights=w, min_degrees=w * draw(REPORT_FLOATS))
+    # a degree of possibility lies in [0, 1], and the largest weight's is
+    # the largest degree
+    degrees = w / w.max() * draw(DEGREE_FLOATS)
+    weights = WeightVector(labels=labels, weights=w, min_degrees=degrees)
     scores = draw(st.lists(REPORT_FLOATS, min_size=2 * n, max_size=2 * n))
     rows = tuple(
         RankRow(rank=r + 1, label=label, score_real=scores[r], score_normalized=scores[n + r])
