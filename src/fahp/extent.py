@@ -88,8 +88,8 @@ def min_degrees(extents: np.ndarray) -> np.ndarray:
 class WeightVector(Record):
     """Nonnegative criterion weights on the unit simplex.
 
-    min_degrees holds the pre-normalization d'(A_i) values so reports can
-    show both.
+    min_degrees holds the pre-normalization d'(A_i) values, each a degree
+    of possibility in [0, 1], so reports can show both.
     """
 
     labels: tuple[str, ...]

@@ -232,3 +232,17 @@ class TestCsvField:
     @pytest.mark.parametrize("text", ["", "u1", "a b", "Parks/Picnic Spots"])
     def test_plain_text_is_unchanged(self, text):
         assert _csv_field(text) == text
+
+
+class TestWriteText:
+    @pytest.mark.parametrize(
+        "length",
+        [0, 1, report._WRITE_SLICE, 2 * report._WRITE_SLICE + 3],
+        ids=["empty", "one", "one-slice", "past-two-slices"],
+    )
+    def test_writes_the_text_in_utf8_with_no_newline_translation(self, tmp_path, length):
+        # multibyte characters straddle the slice boundaries
+        text = ("é\r\n€" * length)[:length]
+        path = tmp_path / "out.txt"
+        report.write_text(path, text)
+        assert path.read_bytes() == text.encode("utf-8")
