@@ -29,8 +29,9 @@ def dataset_path() -> Path:
 
 path = dataset_path()
 matrix = load_csv(path)
+rows, criteria = matrix.values.shape
 
-print(f"loaded {path.name}: {matrix.shape[0]} rows x {matrix.shape[1]} criteria")
+print(f"loaded {path.name}: {rows} rows x {criteria} criteria")
 print()
 
 # Each column is the average user rating (0 to 4) one reviewer gave a

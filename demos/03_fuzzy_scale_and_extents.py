@@ -41,7 +41,7 @@ crisp = ComparisonMatrix(
     )
 )
 # Each fuzzy entry is one row of the scale, held as its code: k - 1 for
-# the direct row of intensity k, 9 + k - 1 for its inverse.
+# the direct row of intensity k, k + 7 for the inverse row of k >= 2.
 fuzzy = fuzzify(crisp)
 print("fuzzified entries of row 0")
 for j in range(3):

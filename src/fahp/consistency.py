@@ -1,7 +1,7 @@
 """Pairwise comparison matrix, principal value, and the consistency gate.
 
 The comparison matrix is derived from per-criterion statistics by a
-pluggable rule, its dominant eigenvalue is estimated by power iteration,
+named rule, its dominant eigenvalue is estimated by power iteration,
 and the classic consistency index / consistency ratio pair decides whether
 the matrix is usable (CR <= 0.1).
 """
@@ -9,7 +9,7 @@ the matrix is usable (CR <= 0.1).
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,15 +88,13 @@ def _uniform_rule(means: Sequence[float]) -> np.ndarray:
     return np.ones((n, n), dtype=float)
 
 
-DerivationRule = Callable[[Sequence[float]], np.ndarray]
-
-DERIVATION_RULES: dict[str, DerivationRule] = {
+DERIVATION_RULES = {
     "mean_gap": _mean_gap_rule,
     "uniform": _uniform_rule,
 }
 
 
-def build_comparison(means: Sequence[float], rule: str | DerivationRule = "mean_gap") -> ComparisonMatrix:
+def build_comparison(means: Sequence[float], rule: str = "mean_gap") -> ComparisonMatrix:
     """Derive the criteria comparison matrix from per-criterion means."""
     mu = np.asarray(means, dtype=float)
     if mu.ndim != 1:
@@ -105,13 +103,10 @@ def build_comparison(means: Sequence[float], rule: str | DerivationRule = "mean_
         raise TooFewCriteria(int(mu.size))
     if not np.all(np.isfinite(mu)):
         raise ValueError("means must be finite")
-    if isinstance(rule, str):
-        try:
-            fn = DERIVATION_RULES[rule]
-        except KeyError:
-            raise UnknownDerivationRule(rule, sorted(DERIVATION_RULES)) from None
-    else:
-        fn = rule
+    try:
+        fn = DERIVATION_RULES[rule]
+    except KeyError:
+        raise UnknownDerivationRule(rule, sorted(DERIVATION_RULES)) from None
     return ComparisonMatrix(entries=fn(mu))
 
 

@@ -154,10 +154,6 @@ class RatingMatrix(Record):
         object.__setattr__(self, "criteria", tuple(self.criteria))
         object.__setattr__(self, "source_columns", tuple(self.source_columns))
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
 
 def load_csv(
     path, schema: DatasetSchema | None = None, *, row_ids: bool = True

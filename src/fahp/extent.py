@@ -50,6 +50,8 @@ def possibility_matrix(extents: np.ndarray) -> np.ndarray:
     (l_k - u_i) / ((m_i - u_i) - (m_k - l_k)). There m_i <= u_i and
     m_k >= l_k, and both differences cannot be zero at once (that would
     give m_k = l_k < u_i = m_i), so the denominator is provably negative.
+    The ordinate is below 1 in exact arithmetic, but rounding can lift it
+    one ulp past when m_i and m_k are an ulp apart, so it is capped at 1.
     """
     components = np.asarray(extents, dtype=float)
     if components.ndim != 2 or components.shape[1] != 3:
@@ -65,6 +67,7 @@ def possibility_matrix(extents: np.ndarray) -> np.ndarray:
         out=np.zeros(overlap.shape),
         where=overlap,
     )
+    np.minimum(degree, 1.0, out=degree)
     degree[mid >= mid.T] = 1.0
     return degree
 
@@ -75,13 +78,9 @@ def possibility(m2: Tfn, m1: Tfn) -> float:
 
 
 def min_degrees(extents: np.ndarray) -> np.ndarray:
-    """Smallest possibility that each extent dominates every other one,
-    capped at 1."""
+    """Smallest possibility that each extent dominates every other one."""
     if len(extents) < 2:
         raise TooFewCriteria(len(extents))
-    # the diagonal V(S_i >= S_i) = 1 stays in the fold as the cap: an
-    # overlap ordinate is below 1, but rounding can lift it one ulp past
-    # when m_i and m_k are an ulp apart
     return possibility_matrix(extents).min(axis=1)
 
 

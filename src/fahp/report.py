@@ -79,6 +79,10 @@ def render_json(report: RankingReport, config_echo: dict, report_scale: float = 
     and indent text of the indented form goes in around and between its
     rows. An encoded string never holds a raw newline, so that text never
     meets a label. The few other members take the indented encoder.
+
+    A file name that is not UTF-8 reaches the config echo holding lone
+    surrogates, which UTF-8 cannot encode; each is written as its JSON
+    escape (\\udcff), which decodes back to the same name.
     """
     doc = report_to_dict(report, config_echo, report_scale)
     members = []
@@ -87,6 +91,7 @@ def render_json(report: RankingReport, config_echo: dict, report_scale: float = 
             text = _rows_json(value)
         else:
             text = json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n  ")
+            text = text.encode("utf-8", "backslashreplace").decode("utf-8")
         members.append(f"  {json.dumps(key, ensure_ascii=False)}: {text}")
     return "{\n" + ",\n".join(members) + "\n}\n"
 

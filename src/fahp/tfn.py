@@ -8,8 +8,9 @@ group, always the reciprocal (1/u, 1/m, 1/l) of the direct row. Both are
 module constants, built once at import.
 
 A fuzzified comparison matrix is held as an n x n matrix of scale-row
-codes: code k - 1 is the direct row of intensity k and code 9 + k - 1 its
-inverse row, so every entry is one of the 18 rows of ROW_TABLE.
+codes: code k - 1 is the direct row of intensity k and code k + 7 the
+inverse row of k >= 2, so every entry is one of the 17 rows of ROW_TABLE.
+Intensity 1 has one code, 0: its inverse row is the same (1, 1, 1).
 Reciprocity is then an integer identity on the codes, and the (n, n, 3)
 float form is only gathered when something prints it.
 """
@@ -65,17 +66,15 @@ _DIRECT_ROWS = (
 _REAL = tuple(Tfn(*(p / q for p, q in row)) for row in _DIRECT_ROWS)
 _INVERSE = tuple(Tfn(*(q / p for p, q in reversed(row))) for row in _DIRECT_ROWS)
 
-# Read-only (18, 3) array that scale-row codes index: the direct rows of
-# intensity 1..9, then the inverse rows in the same order.
-ROW_TABLE = np.array([tfn.as_tuple() for tfn in _REAL + _INVERSE])
+# Read-only (17, 3) array that scale-row codes index: the direct rows of
+# intensity 1..9, then the inverse rows of intensity 2..9.
+ROW_TABLE = np.array([tfn.as_tuple() for tfn in _REAL + _INVERSE[1:]])
 ROW_TABLE.setflags(write=False)
 
 # Read-only map from the code of an entry to the code its transposed entry
-# must have. Direct intensity k >= 2 and its inverse swap. Just-equal is
-# always the direct code 0, its own mirror; the inverse code of intensity
-# 1, never emitted, maps to 0 too, so no matrix that holds it passes.
-MIRROR = (np.arange(len(ROW_TABLE), dtype=np.uint8) + len(_REAL)) % len(ROW_TABLE)
-MIRROR[0] = 0
+# must have: just-equal, code 0, is its own mirror, and direct intensity
+# k >= 2 and its inverse swap.
+MIRROR = np.array([0, *range(9, 17), *range(1, 9)], dtype=np.uint8)
 MIRROR.setflags(write=False)
 
 
@@ -110,9 +109,8 @@ class FuzzyComparisonMatrix(Record):
 
     codes index the rows of ROW_TABLE (see the module docstring). The
     one check, codes.T == MIRROR[codes] over the whole matrix, also pins
-    every diagonal code to 0, the (1, 1, 1) row, and refuses the inverse
-    code of intensity 1, which fuzzify never emits: 0 is the only code
-    that is its own mirror. Every row of ROW_TABLE is a TFN with l > 0 and
+    every diagonal code to 0, the (1, 1, 1) row: 0 is the only code that
+    is its own mirror. Every row of ROW_TABLE is a TFN with l > 0 and
     every inverse row the reciprocal of its direct row, so codes that pass
     give finite, ordered, positive, reciprocal floats. Where two codes
     share a row the check is stricter than a float one: 3 at both (i, j)
@@ -181,9 +179,9 @@ def fuzzify(comparison) -> FuzzyComparisonMatrix:
     if not on_scale.all():
         i, j = np.unravel_index(np.argmin(on_scale), on_scale.shape)
         raise NonScaleEntry(int(i), int(j), float(entries[i, j]))
-    # codes 0..size-1 are the direct group, then the inverse group in the
-    # same intensity order; an inverse match of intensity 1 keeps code 0
+    # codes 0..size-1 are the direct group, then the inverse group of
+    # intensity 2..size; an inverse match of intensity 1 keeps code 0
     codes = k.astype(MIRROR.dtype)
     codes -= 1
-    np.add(codes, size, out=codes, where=inverse & (codes > 0))
+    np.add(codes, size - 1, out=codes, where=inverse & (codes > 0))
     return FuzzyComparisonMatrix(codes=codes)

@@ -119,23 +119,15 @@ def published_rank_order() -> list:
     return list(PUBLISHED_RANK_ORDER)
 
 
-def emitted_codes():
-    """Every scale-row code fuzzify can emit: all but the inverse code of
-    intensity 1."""
+def random_codes(rng, n):
+    """A valid n x n scale-row code matrix: zeros on the diagonal, any
+    code drawn above it, the mirror codes below it."""
     # imported here, so a broken package fails the tests that use it and
     # not the loading of this file
     from fahp.tfn import MIRROR
 
-    return [c for c in range(len(MIRROR)) if c != len(MIRROR) // 2]
-
-
-def random_codes(rng, n):
-    """A valid n x n scale-row code matrix: zeros on the diagonal, every
-    code fuzzify can emit drawn above it, the mirror codes below it."""
-    from fahp.tfn import MIRROR
-
     codes = np.zeros((n, n), dtype=MIRROR.dtype)
     upper = np.triu_indices(n, 1)
-    codes[upper] = rng.choice(emitted_codes(), size=len(upper[0]))
+    codes[upper] = rng.choice(len(MIRROR), size=len(upper[0]))
     codes.T[upper] = MIRROR[codes[upper]]
     return codes

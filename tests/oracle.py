@@ -91,7 +91,8 @@ def possibility(m2, m1):
         return 1.0
     if m1[0] >= m2[2]:
         return 0.0
-    return (m1[0] - m2[2]) / ((m2[1] - m2[2]) - (m1[1] - m1[0]))
+    # below 1 in exact arithmetic; rounding can lift it one ulp past
+    return min(1.0, (m1[0] - m2[2]) / ((m2[1] - m2[2]) - (m1[1] - m1[0])))
 
 
 def min_degrees(extents):

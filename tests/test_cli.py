@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -231,6 +232,49 @@ class TestRank:
         assert config.echo() == echo
         result = run(config)
         assert render_json(result.report, config.echo(), config.report_scale) == text
+
+    @pytest.mark.parametrize("flag", ["--input", "--schema"])
+    @pytest.mark.parametrize("byte", [b"\xff", "\u00e9".encode()], ids=["not-utf8", "utf8"])
+    def test_file_name_round_trips_through_the_report(
+        self, dataset_path, tmp_path, capsys, flag, byte
+    ):
+        # Python reads the byte 0xff of a name as the lone surrogate \udcff
+        # and writes it back as 0xff; the report holds its JSON escape
+        name = str(tmp_path / os.fsdecode(b"r" + byte + b".dat"))
+        source = {
+            "--input": dataset_path,
+            "--schema": resources.files("fahp.data") / "travel_reviews_schema.json",
+        }[flag]
+        try:
+            with open(name, "wb") as fh:
+                fh.write(source.read_bytes())
+        except (OSError, UnicodeEncodeError):
+            pytest.skip("the filesystem refuses the name")
+        inputs = {"--input": str(dataset_path), flag: name}
+        out_json = tmp_path / "report.json"
+        argv = ["rank", *(x for pair in inputs.items() for x in pair)]
+        assert main([*argv, "--out-json", str(out_json)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        text = out_json.read_bytes().decode("utf-8")
+        if byte == b"\xff":
+            assert "\\udcff" in text
+        else:
+            assert "\u00e9" in text
+        echo = json.loads(text)["config_echo"]
+        assert echo[flag[2:]] == name
+        config = RunConfig(**echo)
+        assert render_json(run(config).report, config.echo()) == text
+
+    def test_mse_above_the_tolerance_is_reported_not_fatal(self, dataset_path, capsys):
+        # the dataset's mse is about 3.6e-31
+        code = main(["rank", "--input", str(dataset_path), "--mse-tol", "1e-300"])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 12
+        assert lines[1].split()[:3] == ["1", "Parks/Picnic", "Spots"]
+        assert lines[-1].endswith("(tolerance 1e-300)")
+        assert captured.err == "fahp: validation: mse exceeds the configured tolerance\n"
 
     def test_stdout_scores_use_report_scale(self, small_inputs, capsys):
         csv_path, schema_path = small_inputs
@@ -811,6 +855,39 @@ class TestDump:
             assert np.array(doc["entries"]).shape == (12, 12, 3)
         else:
             assert len(outputs[0].splitlines()) == (6 if stage == "normalized" else 13)
+
+
+class TestClosedPipe:
+    def test_reader_that_closes_early_ends_the_dump_quietly(self, tmp_path):
+        # a dump of about 1.4 MB, larger than a pipe buffer can be
+        rows = "".join(f"u{i},1.25,3.5\n" for i in range(80_000))
+        csv_path = tmp_path / "ratings.csv"
+        csv_path.write_text("ID,c1,c2\n" + rows, encoding="utf-8")
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(SMALL_SCHEMA, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        # unbuffered, a text write that the closed pipe cuts short ends
+        # without an error; buffered, it raises BrokenPipeError
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "fahp.cli", "dump",
+                "--input", str(csv_path), "--schema", str(schema_path),
+                "--dump", "normalized",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            assert proc.stdout.read(1) == b"I"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == EXIT_OK
+        finally:
+            proc.kill()
+            proc.wait()
+        assert err == b""
 
 
 class TestRowIds:

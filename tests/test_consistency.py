@@ -77,10 +77,6 @@ class TestBuildComparison:
         c = build_comparison([0.1, 2.2, 3.3], rule="uniform")
         assert np.array_equal(c.entries, np.ones((3, 3)))
 
-    def test_callable_rule(self):
-        c = build_comparison([1.0, 2.0], rule=lambda mu: np.ones((len(mu), len(mu))))
-        assert np.array_equal(c.entries, np.ones((2, 2)))
-
     def test_unknown_rule(self):
         with pytest.raises(UnknownDerivationRule):
             build_comparison([1.0, 2.0], rule="nope")

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -26,7 +28,7 @@ from fahp import (
 )
 from fahp import dataset
 
-from conftest import ID_CELLS, NEEDS_DEV_FD, piped
+from conftest import ID_CELLS, NEEDS_DEV_FD, REPO_ROOT, piped
 
 TWO_COL_SCHEMA = DatasetSchema(
     id_column="id", criteria_columns=(("a", "A"), ("b", "B"))
@@ -93,7 +95,7 @@ class TestLoadCsv:
     def test_minimal_two_column_file(self, tmp_path):
         path = write(tmp_path, "id,a,b\nu1,2.0,4.0\n")
         m = load_csv(path, TWO_COL_SCHEMA)
-        assert m.shape == (1, 2)
+        assert m.values.shape == (1, 2)
         assert m.values.tolist() == [[2.0, 4.0]]
         assert m.row_ids == ("u1",)
         assert m.criteria == ("A", "B")
@@ -114,12 +116,12 @@ class TestLoadCsv:
     def test_bom_tolerated(self, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbfid,a,b\nu1,1.0,2.0\n")
-        assert load_csv(path, TWO_COL_SCHEMA).shape == (1, 2)
+        assert load_csv(path, TWO_COL_SCHEMA).values.shape == (1, 2)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = write(tmp_path, "id,a,b\n\nu1,1,2\n\n\nu2,3,4\n")
         m = load_csv(path, TWO_COL_SCHEMA)
-        assert m.shape == (2, 2)
+        assert m.values.shape == (2, 2)
 
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "id,a\nu1,1.0\n")
@@ -329,7 +331,7 @@ class TestIngestPaths:
     def test_shipped_dataset_takes_the_bulk_parse(self, dataset_path, monkeypatch):
         monkeypatch.setattr(dataset, "_parse_cells", _no_loop)
         with_ids = load_csv(dataset_path)
-        assert with_ids.shape == (980, 10)
+        assert with_ids.values.shape == (980, 10)
         m = load_csv(dataset_path, row_ids=False)
         assert m.values.tobytes() == with_ids.values.tobytes()
         assert m.row_ids is None
@@ -453,7 +455,7 @@ class TestIngestPaths:
         path = write(tmp_path, "\n".join(lines) + "\n")
         assert path.stat().st_size > FIELD_LIMIT
         monkeypatch.setattr(dataset, "_parse_cells", _no_loop)
-        assert load_csv(path, TWO_COL_SCHEMA).shape == (rows, 2)
+        assert load_csv(path, TWO_COL_SCHEMA).values.shape == (rows, 2)
 
     def test_file_with_cr_line_ends_takes_the_bulk_parse(self, tmp_path, monkeypatch):
         # larger than the field limit, so _plain_name looks for line ends
@@ -468,7 +470,7 @@ class TestIngestPaths:
             want = load_csv(twin, TWO_COL_SCHEMA, row_ids=row_ids)
             assert m.values.tobytes() == want.values.tobytes()
             assert m.row_ids == want.row_ids
-        assert m.shape == (rows, 2)
+        assert m.values.shape == (rows, 2)
 
     def test_single_criterion_bad_cell_is_named(self, tmp_path):
         path = write(tmp_path, "id,a\nu1,12\n")
@@ -506,7 +508,7 @@ class TestIngestPaths:
         lines += ["", " , ", "u,3.0,3.0"]
         path = write(tmp_path, "\n".join(lines) + "\n")
         m = load_csv(path, TWO_COL_SCHEMA)
-        assert m.shape == (601, 2)
+        assert m.values.shape == (601, 2)
         assert m.row_ids[-1] == "u"
 
 
@@ -825,7 +827,7 @@ class TestColumnMeans:
 class TestTravelReviewsFile:
     def test_shape_and_labels(self, dataset_path):
         m = load_csv(dataset_path)
-        assert m.shape == (980, 10)
+        assert m.values.shape == (980, 10)
         assert m.criteria[6] == "Parks/Picnic Spots"
 
     def test_column_means_match_published_values(self, dataset_path, published_means):
@@ -833,3 +835,13 @@ class TestTravelReviewsFile:
         means = column_means(m)
         for label, mean in zip(m.criteria, means):
             assert mean == pytest.approx(published_means[label], abs=1e-3)
+
+    def test_tool_regenerates_the_shipped_surrogate(self, tmp_path):
+        out = tmp_path / "surrogate.csv"
+        subprocess.run(
+            [sys.executable, str(REPO_ROOT / "tools" / "make_surrogate_dataset.py"), str(out)],
+            check=True,
+            timeout=120,
+        )
+        shipped = REPO_ROOT / "data" / "travel_reviews_surrogate.csv"
+        assert out.read_bytes() == shipped.read_bytes()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -20,6 +20,17 @@ from fahp import (
     synthetic_extents,
     weights,
 )
+
+
+# two extents whose modal values are an ulp apart: the overlap ordinate of
+# the lower one rounds to 1 + 2**-52 before the cap
+ULP_APART = [
+    [float.fromhex(x) for x in row]
+    for row in (
+        ("0x1.4892c46b6399fp-3", "0x1.0aafc89c18336p-2", "0x1.99e083867b462p+0"),
+        ("0x1.c66cd3b66eff4p-3", "0x1.0aafc89c18337p-2", "0x1.71162f027e99ep-2"),
+    )
+]
 
 
 def tfns():
@@ -117,6 +128,7 @@ class TestPossibility:
         assert possibility(a, a) == 1.0
 
     @given(a=tfns(), b=tfns())
+    @example(a=Tfn(*ULP_APART[0]), b=Tfn(*ULP_APART[1]))
     @settings(max_examples=200, deadline=None)
     def test_bounded(self, a, b):
         v = possibility(a, b)
@@ -176,17 +188,8 @@ class TestMinDegrees:
             min_degrees(np.array([[1, 2, 3]]))
 
     def test_capped_at_one_when_modal_values_are_an_ulp_apart(self):
-        # the overlap ordinate of the lower extent rounds to 1 + 2**-52
-        extents = np.array(
-            [
-                [float.fromhex(x) for x in row]
-                for row in (
-                    ("0x1.4892c46b6399fp-3", "0x1.0aafc89c18336p-2", "0x1.99e083867b462p+0"),
-                    ("0x1.c66cd3b66eff4p-3", "0x1.0aafc89c18337p-2", "0x1.71162f027e99ep-2"),
-                )
-            ]
-        )
-        assert possibility_matrix(extents)[0, 1] == 1.0000000000000002
+        extents = np.array(ULP_APART)
+        assert possibility_matrix(extents)[0, 1] == 1.0
         assert min_degrees(extents).tolist() == [1.0, 1.0]
         assert weights(extents).weights.tolist() == [0.5, 0.5]
 

@@ -9,10 +9,17 @@ import pytest
 
 import fahp
 from fahp import (
+    ComparisonMatrix,
     ConsistencyReport,
     DatasetSchema,
+    FuzzyComparisonMatrix,
+    NormalizedMatrix,
     RankRow,
+    RatingMatrix,
     RunConfig,
+    ScoreVector,
+    WeightVector,
+    build_comparison,
 )
 from fahp import cli
 from fahp.record import Record
@@ -156,6 +163,85 @@ class TestRunConfigFields:
         assert cli._config_from_args(args) == RunConfig(input="x.csv")
         for name in self.NAMES[1:]:
             assert getattr(args, name) == getattr(RunConfig, name), name
+
+
+NAN = float("nan")
+
+# each input passes every check of its record but one, which must refuse
+# it with this message
+REFUSED = [
+    (
+        "comparison-nan-off-diagonal",
+        lambda: ComparisonMatrix(entries=np.array([[1.0, NAN], [NAN, 1.0]])),
+        "comparison entries must be finite",
+    ),
+    (
+        "means-2d",
+        lambda: build_comparison(np.ones((2, 2)), rule="uniform"),
+        r"means must be a vector, got shape \(2, 2\)",
+    ),
+    (
+        "means-nan",
+        lambda: build_comparison([1.0, NAN], rule="uniform"),
+        "means must be finite",
+    ),
+    (
+        "rating-1d",
+        lambda: RatingMatrix(values=[1.0, 2.0], row_ids=None, criteria=("a", "b")),
+        r"expected a 2-d matrix, got shape \(2,\)",
+    ),
+    (
+        "normalized-1d",
+        lambda: NormalizedMatrix(values=[0.5, 1.0], criteria=("a", "b")),
+        r"expected a 2-d matrix, got shape \(2,\)",
+    ),
+    (
+        "normalized-label-count",
+        lambda: NormalizedMatrix(values=[[0.5, 1.0]], criteria=("a",)),
+        "column count does not match criterion labels",
+    ),
+    (
+        "weights-degree-count",
+        lambda: WeightVector(
+            labels=("a", "b"), weights=[0.5, 0.5], min_degrees=[1.0, 1.0, 1.0]
+        ),
+        "weights and min_degrees must be equal-length vectors",
+    ),
+    (
+        "scores-label-count",
+        lambda: ScoreVector(labels=("a",), scores=[0.5, 0.5]),
+        "one score per label required",
+    ),
+    (
+        "scores-nan",
+        lambda: ScoreVector(labels=("a", "b"), scores=[0.5, NAN]),
+        "scores must be finite and nonnegative",
+    ),
+    (
+        "scores-negative",
+        lambda: ScoreVector(labels=("a", "b"), scores=[0.5, -0.5]),
+        "scores must be finite and nonnegative",
+    ),
+    (
+        "codes-1d",
+        lambda: FuzzyComparisonMatrix(codes=np.zeros(1, dtype=np.uint8)),
+        r"expected a non-empty \(n, n\) code matrix, got \(1,\)",
+    ),
+    (
+        # 1.5 and 9.0 would truncate to the valid pair of codes 1 and 9
+        "codes-float",
+        lambda: FuzzyComparisonMatrix(codes=np.array([[0.0, 1.5], [9.0, 0.0]])),
+        "codes must be integers, got float64",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message", [case[1:] for case in REFUSED], ids=[case[0] for case in REFUSED]
+)
+def test_each_record_check_refuses_its_input(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 # a record is a Record, never a generated dataclass: the dataclass

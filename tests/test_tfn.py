@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import emitted_codes, random_codes
+from conftest import random_codes
 from fahp import (
     ComparisonMatrix,
     FuzzyComparisonMatrix,
@@ -72,11 +72,12 @@ class TestScaleTable:
 
     def test_every_bound_is_the_float_of_the_exact_fraction(self):
         # the scale divides small integers; the oracle's scale is Fraction,
-        # and both must give the same 54 floats: ROW_TABLE holds the direct
-        # rows, then their exact reciprocals, in the order codes index them
+        # and both must give the same 51 floats: ROW_TABLE holds the direct
+        # rows, then the exact reciprocals of intensity 2..9, in the order
+        # codes index them
         table = default_scale_table()
         expected = [oracle.scale_real(k) for k in oracle.SCALE]
-        expected += [oracle.scale_inverse(k) for k in oracle.SCALE]
+        expected += [oracle.scale_inverse(k) for k in oracle.SCALE if k >= 2]
         assert ROW_TABLE.dtype == np.float64
         assert ROW_TABLE.tobytes() == np.array(expected).tobytes()
         for k in oracle.SCALE:
@@ -111,13 +112,13 @@ class TestScaleTable:
         assert ROW_TABLE[0].tolist() == [1.0, 1.0, 1.0]
 
     def test_row_table_and_mirror(self):
-        assert ROW_TABLE.shape == (18, 3)
+        assert ROW_TABLE.shape == (17, 3)
         assert MIRROR.dtype == np.uint8
-        assert MIRROR.tolist() == [0, *range(10, 18), 0, *range(1, 9)]
-        # an involution on every code fuzzify emits, fixing code 0 alone
-        emitted = emitted_codes()
-        assert [int(MIRROR[MIRROR[c]]) for c in emitted] == emitted
-        assert [c for c in emitted if MIRROR[c] == c] == [0]
+        assert MIRROR.tolist() == [0, *range(9, 17), *range(1, 9)]
+        # an involution on every code, fixing code 0 alone
+        codes = list(range(len(ROW_TABLE)))
+        assert [int(MIRROR[MIRROR[c]]) for c in codes] == codes
+        assert [c for c in codes if MIRROR[c] == c] == [0]
         for constant in (ROW_TABLE, MIRROR):
             assert not constant.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -206,7 +207,7 @@ class TestFuzzyComparisonMatrix:
         codes = np.array([[0, 4], [0, 0]], dtype=np.uint8)
         with pytest.raises(ValueError, match=r"at \(0, 1\)"):
             FuzzyComparisonMatrix(codes=codes)
-        codes[1, 0] = 13  # the inverse of intensity 5
+        codes[1, 0] = 12  # the inverse of intensity 5
         assert FuzzyComparisonMatrix(codes=codes).n == 2
 
     def test_entry_accessor_and_nested_dump(self):
