@@ -859,8 +859,9 @@ class TestDump:
 
 class TestClosedPipe:
     def test_reader_that_closes_early_ends_the_dump_quietly(self, tmp_path):
-        # a dump of about 1.4 MB, larger than a pipe buffer can be
-        rows = "".join(f"u{i},1.25,3.5\n" for i in range(80_000))
+        # a dump of 1.49 MB, more than a Linux pipe holds at its largest
+        # default size limit (1 MiB)
+        rows = "".join(f"u{i},1.25,3.5\n" for i in range(100_000))
         csv_path = tmp_path / "ratings.csv"
         csv_path.write_text("ID,c1,c2\n" + rows, encoding="utf-8")
         schema_path = tmp_path / "schema.json"
