@@ -75,7 +75,7 @@ print()
 # principal value is pinned to 1 and the random index constant is 180,
 # which drives CI to -1 and CR slightly below zero. The report keeps
 # warnings about both oddities.
-compat = check(comparison, ir_mode="paper_compat", force_lambda_max=1.0)
+compat = check(comparison, ir_mode="paper_compat")
 print(f"compat mode: CI = {compat.ci}, CR = {compat.cr:.4f}, "
       f"accepted = {compat.accepted}")
 for note in compat.warnings:

@@ -17,8 +17,8 @@ from .errors import (
     ScaledScoreOverflow,
     UnwritableOutput,
 )
+from .consistency import MODES
 from .pipeline import (
-    MODES,
     RunConfig,
     extents_stage,
     fuzzify_stage,

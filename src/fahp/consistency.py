@@ -28,6 +28,9 @@ CR_LIMIT = 0.1
 # Saaty random index values for orders 1..10
 SAATY_RANDOM_INDEX = (0.0, 0.0, 0.58, 0.90, 1.12, 1.24, 1.32, 1.41, 1.45, 1.49)
 
+# "paper_compat" reproduces the paper's IR = 180 with lambda_max pinned to 1
+MODES = ("standard", "paper_compat")
+
 PAPER_COMPAT_RANDOM_INDEX = 180.0
 
 POWER_ITERATION_TOL = 1e-12
@@ -149,10 +152,10 @@ def random_index(n: int, mode: str = "standard") -> float:
     """Expected consistency index of random reciprocal matrices of order n."""
     if n < 1:
         raise ValueError(f"order must be at least 1, got {n}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "paper_compat":
         return PAPER_COMPAT_RANDOM_INDEX
-    if mode != "standard":
-        raise ValueError(f"mode must be 'standard' or 'paper_compat', got {mode!r}")
     if n > len(SAATY_RANDOM_INDEX):
         raise UnsupportedOrder(n, len(SAATY_RANDOM_INDEX))
     return float(SAATY_RANDOM_INDEX[n - 1])
@@ -189,21 +192,18 @@ class ConsistencyReport(Record):
         return doc
 
 
-def check(
-    c: ComparisonMatrix,
-    ir_mode: str = "standard",
-    force_lambda_max: float | None = None,
-) -> ConsistencyReport:
+def check(c: ComparisonMatrix, ir_mode: str = "standard") -> ConsistencyReport:
     """Compose lambda_max -> CI -> IR -> CR and apply the 0.1 gate.
 
-    force_lambda_max substitutes a fixed principal value instead of the
-    power-iteration estimate; the report carries a warning when used.
-    Negative ratios are accepted (with a warning) since the gate is an
-    upper bound only.
+    ir_mode is one of MODES. "paper_compat" reproduces the paper: the
+    principal value is pinned to 1.0 instead of the power-iteration
+    estimate, IR is 180, and the report carries a warning that lambda_max
+    was forced. Negative ratios are accepted (with a warning) since the
+    gate is an upper bound only.
     """
     warnings: list[str] = []
-    if force_lambda_max is not None:
-        t = float(force_lambda_max)
+    if ir_mode == "paper_compat":
+        t = 1.0
         warnings.append("lambda_max was forced by configuration, not computed")
     else:
         t = lambda_max(c)

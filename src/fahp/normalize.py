@@ -17,19 +17,15 @@ class NormalizedMatrix(Record):
     """
 
     values: np.ndarray
-    criteria: tuple[str, ...]
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d matrix, got shape {arr.shape}")
-        if arr.shape[1] != len(self.criteria):
-            raise ValueError("column count does not match criterion labels")
         # a NaN fails both comparisons
         if arr.size and not (arr.min() >= 0 and arr.max() <= 1):
             raise ValueError("normalized cells must lie in [0, 1]")
         object.__setattr__(self, "values", frozen(arr))
-        object.__setattr__(self, "criteria", tuple(self.criteria))
 
 
 def saw_normalize(values) -> tuple[np.ndarray, np.ndarray]:
@@ -57,4 +53,4 @@ def normalize(m) -> NormalizedMatrix:
     """
     values, _ = saw_normalize(m.values)
     values.setflags(write=False)
-    return NormalizedMatrix(values=values, criteria=tuple(m.criteria))
+    return NormalizedMatrix(values=values)

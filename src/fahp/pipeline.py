@@ -15,6 +15,7 @@ import numpy as np
 
 from .consistency import (
     DERIVATION_RULES,
+    MODES,
     ComparisonMatrix,
     ConsistencyReport,
     build_comparison,
@@ -36,8 +37,6 @@ from .record import Record
 from .reference import reference_scores
 # default_scale_table is unused here, but perfbench/spans.py traces it by this name
 from .tfn import FuzzyComparisonMatrix, default_scale_table, fuzzify  # noqa: F401
-
-MODES = ("standard", "paper_compat")
 
 
 class RunConfig(Record):
@@ -135,10 +134,7 @@ def run_to_consistency(config: RunConfig) -> PipelineResult:
     """Run ingest through the consistency check, no gate applied."""
     partial = run_to_comparison(config)
     with _stage("consistency"):
-        forced = 1.0 if config.ir_mode == "paper_compat" else None
-        report = check(
-            partial.comparison, ir_mode=config.ir_mode, force_lambda_max=forced
-        )
+        report = check(partial.comparison, ir_mode=config.ir_mode)
     return PipelineResult(partial.matrix, partial.comparison, report)
 
 

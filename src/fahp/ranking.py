@@ -9,29 +9,16 @@ import numpy as np
 from .consistency import ConsistencyReport
 from .errors import DimensionMismatch, EmptyInput, LengthMismatch
 from .extent import WeightVector
-from .record import Record, frozen
+from .record import Record
 
 AGGREGATES = ("mean", "sum")
 
 
-class ScoreVector(Record):
-    """Per-criterion score: weight times the aggregated column value."""
+def score(data, w: WeightVector, aggregate: str = "mean") -> np.ndarray:
+    """score_j = w_j * aggregate_i(data_ij), column by column.
 
-    labels: tuple[str, ...]
-    scores: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.scores, dtype=float)
-        if s.ndim != 1 or s.size != len(self.labels):
-            raise ValueError("one score per label required")
-        if not np.all(np.isfinite(s)) or np.any(s < 0):
-            raise ValueError("scores must be finite and nonnegative")
-        object.__setattr__(self, "scores", frozen(s))
-        object.__setattr__(self, "labels", tuple(self.labels))
-
-
-def score(data, w: WeightVector, aggregate: str = "mean") -> ScoreVector:
-    """score_j = w_j * aggregate_i(data_ij), column by column."""
+    Returns a new read-only array ordered like w.labels, the column order.
+    """
     values = np.asarray(data.values, dtype=float)
     if values.shape[1] != len(w):
         raise DimensionMismatch(values.shape[1], len(w))
@@ -41,7 +28,9 @@ def score(data, w: WeightVector, aggregate: str = "mean") -> ScoreVector:
         folded = values.sum(axis=0)
     else:
         raise ValueError(f"aggregate must be one of {AGGREGATES}, got {aggregate!r}")
-    return ScoreVector(labels=tuple(data.criteria), scores=w.weights * folded)
+    scores = w.weights * folded
+    scores.setflags(write=False)
+    return scores
 
 
 class RankRow(Record):
@@ -51,28 +40,29 @@ class RankRow(Record):
     score_normalized: float
 
 
-def rank(scores: ScoreVector, normalized: ScoreVector) -> tuple[RankRow, ...]:
-    """Order criteria by descending score; ties break by ascending label.
+def rank(
+    labels: Sequence[str], real: Sequence[float], normalized: Sequence[float]
+) -> tuple[RankRow, ...]:
+    """Order criteria by descending real score; ties break by ascending label.
 
-    The primary vector fills score_real; the companion vector (matched by
-    label) fills score_normalized.
+    The three sequences run in the same criterion order, and each row takes
+    its label and both scores from one position; unequal lengths raise
+    ValueError.
     """
-    if scores.scores.size == 0:
+    if len(labels) == 0:
         raise EmptyInput("cannot rank an empty score vector")
-    if set(normalized.labels) != set(scores.labels):
-        raise ValueError("companion scores must cover the same labels")
-    companion = dict(zip(normalized.labels, normalized.scores))
     ordered = sorted(
-        zip(scores.labels, scores.scores), key=lambda pair: (-pair[1], pair[0])
+        zip(labels, real, normalized, strict=True),
+        key=lambda row: (-row[1], row[0]),
     )
     return tuple(
         RankRow(
             rank=position,
             label=label,
             score_real=float(value),
-            score_normalized=float(companion[label]),
+            score_normalized=float(companion),
         )
-        for position, (label, value) in enumerate(ordered, start=1)
+        for position, (label, value, companion) in enumerate(ordered, start=1)
     )
 
 
@@ -89,13 +79,13 @@ class RankingReport(Record):
 
 
 def build_report(
-    real_scores: ScoreVector,
-    normalized_scores: ScoreVector,
+    real_scores: np.ndarray,
+    normalized_scores: np.ndarray,
     consistency: ConsistencyReport,
     weight_vector: WeightVector,
     mse: float,
 ) -> RankingReport:
-    rows = rank(real_scores, normalized_scores)
+    rows = rank(weight_vector.labels, real_scores, normalized_scores)
     return RankingReport(
         rows=rows,
         mse=mse,
@@ -122,13 +112,13 @@ class ValidationRecord(Record):
 
 
 def validate(
-    scores: ScoreVector,
+    scores: Sequence[float],
     oracle_scores: Sequence[float],
     tolerance: float = 1e-3,
 ) -> ValidationRecord:
     """Cross-check scores against an independent recomputation.
 
-    oracle_scores must be ordered like scores.labels, the criteria order.
+    Both are ordered like the criteria.
     """
-    value = mse(scores.scores, oracle_scores)
+    value = mse(scores, oracle_scores)
     return ValidationRecord(mse=value, passed=value <= tolerance)

@@ -93,7 +93,7 @@ def test_compat_consistency_reproduction():
         assert abs(cr - (-0.0056)) < 5e-5
 
         comparison = ComparisonMatrix(entries=np.ones((10, 10)))
-        report = check(comparison, ir_mode="paper_compat", force_lambda_max=1.0)
+        report = check(comparison, ir_mode="paper_compat")
         assert report.lambda_max == 1.0
         assert report.n == 10
         assert report.ci == -1.0

@@ -211,13 +211,25 @@ class TestCheck:
         report = check(
             ComparisonMatrix(entries=np.ones((10, 10))),
             ir_mode="paper_compat",
-            force_lambda_max=1.0,
         )
         assert report.ci == -1.0
         assert report.cr == pytest.approx(-1.0 / 180.0, abs=1e-15)
         assert report.accepted
         assert any("forced" in w for w in report.warnings)
         assert any("negative" in w for w in report.warnings)
+
+    def test_compat_pins_the_principal_value_of_any_matrix(self):
+        # the power iteration would give this cyclic matrix a CR far above 0.1
+        cyclic = matrix([[1, 9, 1 / 9], [1 / 9, 1, 9], [9, 1 / 9, 1]])
+        report = check(cyclic, "paper_compat")
+        assert report.lambda_max == 1.0
+        assert report.ir == 180.0
+        assert report.accepted
+        assert "lambda_max was forced by configuration, not computed" in report.warnings
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError):
+            check(matrix([[1, 3], [1 / 3, 1]]), "other")
 
     def test_cyclic_matrix_rejected(self):
         report = check(matrix([[1, 9, 1 / 9], [1 / 9, 1, 9], [9, 1 / 9, 1]]))

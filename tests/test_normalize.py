@@ -6,9 +6,9 @@ import pytest
 from fahp import NormalizedMatrix, RatingMatrix, normalize, saw_normalize
 
 
-def rating(values, labels=None):
+def rating(values):
     arr = np.asarray(values, dtype=float)
-    labels = labels or tuple(f"C{i + 1}" for i in range(arr.shape[1]))
+    labels = tuple(f"C{i + 1}" for i in range(arr.shape[1]))
     ids = tuple(f"u{i}" for i in range(arr.shape[0]))
     return RatingMatrix(values=arr, row_ids=ids, criteria=labels)
 
@@ -26,11 +26,10 @@ def test_zero_column_maps_to_zeros():
     assert used[0] == 0.0
 
 
-def test_normalize_keeps_shape_and_labels():
-    m = rating([[1.0, 2.0], [3.0, 4.0]], labels=("A", "B"))
+def test_normalize_keeps_shape():
+    m = rating([[1.0, 2.0], [3.0, 4.0]])
     n = normalize(m)
     assert n.values.shape == m.values.shape
-    assert n.criteria == ("A", "B")
 
 
 def test_idempotence_is_exact():
@@ -61,7 +60,7 @@ def test_positive_columns_peak_at_exactly_one():
 
 def test_normalized_matrix_rejects_cells_above_one():
     with pytest.raises(ValueError):
-        NormalizedMatrix(values=np.array([[1.5]]), criteria=("A",))
+        NormalizedMatrix(values=np.array([[1.5]]))
 
 
 def test_values_frozen():
@@ -78,12 +77,12 @@ def test_values_frozen():
 )
 def test_normalized_matrix_rejects_nan_and_bad_maxima(values):
     with pytest.raises(ValueError):
-        NormalizedMatrix(values=np.array(values), criteria=("a", "b"))
+        NormalizedMatrix(values=np.array(values))
 
 
 def test_caller_writes_do_not_reach_the_matrix():
     values = np.array([[0.5, 1.0], [1.0, 0.25]])
-    n = NormalizedMatrix(values=values[:, :], criteria=("A", "B"))
+    n = NormalizedMatrix(values=values[:, :])
     values[0, 0] = 0.0
     assert n.values.tolist() == [[0.5, 1.0], [1.0, 0.25]]
 

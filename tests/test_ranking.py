@@ -11,7 +11,6 @@ from fahp import (
     EmptyInput,
     LengthMismatch,
     RatingMatrix,
-    ScoreVector,
     WeightVector,
     build_report,
     check,
@@ -38,8 +37,8 @@ UNIFORM2 = weight_vector([0.5, 0.5], ("A", "B"))
 
 
 def halved(s):
-    """A companion vector for rank: the same labels, half the scores."""
-    return ScoreVector(s.labels, s.scores / 2)
+    """A companion for rank: half the scores, in the same order."""
+    return np.asarray(s) / 2
 
 
 class TestScore:
@@ -47,24 +46,34 @@ class TestScore:
         m = rating([[2.0, 2.0], [2.0, 2.0]], ("A", "B"))
         w = weight_vector([0.1, 0.9], ("A", "B"))
         s = score(m, weight_vector([0.5, 0.5], ("A", "B")))
-        assert s.scores.tolist() == [1.0, 1.0]
-        assert score(m, w).scores.tolist() == [0.2, 1.8]
+        assert s.tolist() == [1.0, 1.0]
+        assert score(m, w).tolist() == [0.2, 1.8]
 
     def test_masking_weight(self):
         m = rating([[3.0, 4.0]], ("A", "B"))
         w = weight_vector([1.0, 0.0], ("A", "B"))
-        assert score(m, w).scores.tolist() == [3.0, 0.0]
+        assert score(m, w).tolist() == [3.0, 0.0]
 
     def test_sum_aggregate(self):
         m = rating([[1.0, 2.0], [3.0, 4.0]], ("A", "B"))
         s = score(m, UNIFORM2, aggregate="sum")
-        assert s.scores.tolist() == [2.0, 3.0]
+        assert s.tolist() == [2.0, 3.0]
 
     def test_normalized_path_tagged(self):
         m = rating([[1.0, 2.0], [3.0, 4.0]], ("A", "B"))
         s = score(normalize(m), UNIFORM2)
         # columns divided by their maxima 3 and 4 have means 2/3 and 3/4
-        assert s.scores.tolist() == [1 / 3, 0.375]
+        assert s.tolist() == [1 / 3, 0.375]
+
+    def test_read_only_weights_times_means(self):
+        rng = np.random.default_rng(60)
+        labels = tuple(f"L{i}" for i in range(7))
+        m = rating(rng.uniform(0, 4, size=(23, 7)), labels)
+        raw = rng.uniform(0, 1, size=7)
+        w = weight_vector(raw / raw.sum(), labels)
+        s = score(m, w)
+        assert not s.flags.writeable
+        assert s.tobytes() == (w.weights * m.values.mean(axis=0)).tobytes()
 
     def test_dimension_mismatch(self):
         m = rating([[1.0, 2.0]], ("A", "B"))
@@ -80,11 +89,9 @@ class TestScore:
 
 class TestRank:
     def test_descending_with_published_style_scores(self):
-        s = ScoreVector(
-            labels=("Parks/Picnic Spots", "Beaches", "Restaurants"),
-            scores=np.array([0.6361, 0.5670, 0.1065]),
-        )
-        rows = rank(s, halved(s))
+        labels = ("Parks/Picnic Spots", "Beaches", "Restaurants")
+        s = np.array([0.6361, 0.5670, 0.1065])
+        rows = rank(labels, s, halved(s))
         assert [r.rank for r in rows] == [1, 2, 3]
         assert [r.label for r in rows] == [
             "Parks/Picnic Spots",
@@ -93,37 +100,36 @@ class TestRank:
         ]
 
     def test_tie_breaks_by_label(self):
-        s = ScoreVector(
-            labels=("B", "A"),
-            scores=np.array([0.5, 0.5]),
-        )
-        rows = rank(s, halved(s))
+        s = np.array([0.5, 0.5])
+        rows = rank(("B", "A"), s, halved(s))
         assert [r.label for r in rows] == ["A", "B"]
         assert [r.rank for r in rows] == [1, 2]
 
     def test_single_criterion(self):
-        s = ScoreVector(labels=("only",), scores=np.array([1.0]))
-        rows = rank(s, halved(s))
+        rows = rank(("only",), np.array([1.0]), np.array([0.5]))
         assert rows[0].rank == 1
         assert rows[0].score_normalized == 0.5
 
     def test_empty_rejected(self):
-        s = ScoreVector(labels=(), scores=np.array([]))
         with pytest.raises(EmptyInput):
-            rank(s, s)
+            rank((), np.array([]), np.array([]))
 
     def test_companion_fills_second_column(self):
-        real = ScoreVector(labels=("A", "B"), scores=np.array([2.0, 1.0]))
-        norm = ScoreVector(labels=("A", "B"), scores=np.array([0.5, 0.25]))
-        rows = rank(real, norm)
+        rows = rank(("A", "B"), np.array([2.0, 1.0]), np.array([0.5, 0.25]))
         assert rows[0].score_normalized == 0.5
         assert rows[1].score_normalized == 0.25
 
     def test_companion_label_mismatch(self):
-        real = ScoreVector(labels=("A", "B"), scores=np.array([2.0, 1.0]))
-        norm = ScoreVector(labels=("A", "C"), scores=np.array([0.5, 0.25]))
+        # a companion with a score too few or too many does not cover the labels
+        for norm in ([0.5], [0.5, 0.25, 0.125]):
+            with pytest.raises(ValueError):
+                rank(("A", "B"), np.array([2.0, 1.0]), np.array(norm))
+
+    def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError):
-            rank(real, norm)
+            rank(("A", "B", "C"), np.array([2.0, 1.0]), np.array([0.5, 0.25]))
+        with pytest.raises(ValueError):
+            rank(("A",), np.array([2.0, 1.0]), np.array([0.5, 0.25]))
 
     def test_order_invariant_under_positive_scaling(self):
         rng = np.random.default_rng(61)
@@ -131,9 +137,8 @@ class TestRank:
         for _ in range(50):
             values = rng.uniform(0, 1, size=8)
             c = float(rng.uniform(0.01, 100))
-            s = ScoreVector(labels, values)
-            base = rank(s, halved(s))
-            scaled = rank(ScoreVector(labels, values * c), halved(s))
+            base = rank(labels, values, halved(values))
+            scaled = rank(labels, values * c, halved(values))
             assert [r.label for r in base] == [r.label for r in scaled]
 
     def test_uniform_weights_order_equals_mean_order(self):
@@ -143,7 +148,7 @@ class TestRank:
         for _ in range(30):
             m = rating(rng.uniform(0, 4, size=(15, 6)), labels)
             s = score(m, w)
-            rows = rank(s, halved(s))
+            rows = rank(labels, s, halved(s))
             mean_order = [
                 labels[i]
                 for i in sorted(
@@ -162,8 +167,8 @@ class TestRank:
             m = rating(values, labels)
             real = score(m, w)
             norm = score(normalize(m), w)
-            real_rows = rank(real, norm)
-            norm_rows = rank(norm, real)
+            real_rows = rank(labels, real, norm)
+            norm_rows = rank(labels, norm, real)
             assert [r.label for r in real_rows] == [r.label for r in norm_rows]
 
 
@@ -192,11 +197,11 @@ class TestMse:
         assert mse(f, y) >= 0.0
 
 
-TOY_SCORES = ScoreVector(("A", "B", "C"), np.array([0.5, 0.3, 0.2]))
+TOY_SCORES = np.array([0.5, 0.3, 0.2])
 
 
 def toy_report(mse=0.0):
-    w = weight_vector([1 / 3] * 3, TOY_SCORES.labels)
+    w = weight_vector([1 / 3] * 3, ("A", "B", "C"))
     consistency = check(ComparisonMatrix(entries=np.ones((3, 3))))
     return build_report(TOY_SCORES, halved(TOY_SCORES), consistency, w, mse)
 
@@ -221,10 +226,9 @@ class TestReportAndValidate:
 
     def test_validate_small_perturbation_passes(self):
         scores = tuple(np.linspace(1.0, 0.1, 10))
-        labels = tuple(f"L{i}" for i in range(10))
         oracle = list(scores)
         oracle[4] += 0.01
-        record = validate(ScoreVector(labels, np.array(scores)), oracle, tolerance=1e-3)
+        record = validate(np.array(scores), oracle, tolerance=1e-3)
         assert record.mse == pytest.approx(1e-5, rel=1e-9)
         assert record.passed
 

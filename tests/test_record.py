@@ -17,7 +17,6 @@ from fahp import (
     RankRow,
     RatingMatrix,
     RunConfig,
-    ScoreVector,
     WeightVector,
     build_comparison,
 )
@@ -192,13 +191,8 @@ REFUSED = [
     ),
     (
         "normalized-1d",
-        lambda: NormalizedMatrix(values=[0.5, 1.0], criteria=("a", "b")),
+        lambda: NormalizedMatrix(values=[0.5, 1.0]),
         r"expected a 2-d matrix, got shape \(2,\)",
-    ),
-    (
-        "normalized-label-count",
-        lambda: NormalizedMatrix(values=[[0.5, 1.0]], criteria=("a",)),
-        "column count does not match criterion labels",
     ),
     (
         "weights-degree-count",
@@ -206,21 +200,6 @@ REFUSED = [
             labels=("a", "b"), weights=[0.5, 0.5], min_degrees=[1.0, 1.0, 1.0]
         ),
         "weights and min_degrees must be equal-length vectors",
-    ),
-    (
-        "scores-label-count",
-        lambda: ScoreVector(labels=("a",), scores=[0.5, 0.5]),
-        "one score per label required",
-    ),
-    (
-        "scores-nan",
-        lambda: ScoreVector(labels=("a", "b"), scores=[0.5, NAN]),
-        "scores must be finite and nonnegative",
-    ),
-    (
-        "scores-negative",
-        lambda: ScoreVector(labels=("a", "b"), scores=[0.5, -0.5]),
-        "scores must be finite and nonnegative",
     ),
     (
         "codes-1d",
@@ -279,5 +258,5 @@ def test_no_exported_class_is_a_dataclass():
         if isinstance(getattr(fahp, name), type)
     ]
     records = [cls for cls in classes if issubclass(cls, Record)]
-    assert len(records) == 14
+    assert len(records) == 13
     assert not [cls for cls in classes if dataclasses.is_dataclass(cls)]
