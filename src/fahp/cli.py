@@ -73,81 +73,111 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="fahp", description=__doc__)
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    rank_cmd = commands.add_parser(
-        "rank", help="run the full pipeline and emit the ranking report"
-    )
-    _add_input_flags(rank_cmd)
-    rank_cmd.add_argument(
+def _add_rank_flags(parser: argparse.ArgumentParser) -> None:
+    _add_input_flags(parser)
+    parser.add_argument(
         "--aggregate",
         choices=AGGREGATES,
         default=RunConfig.aggregate,
         help="column fold used by the scoring stage",
     )
-    rank_cmd.add_argument(
+    parser.add_argument(
         "--report-scale",
         type=float,
         default=RunConfig.report_scale,
         help="factor applied to reported scores (report only, default "
         "%(default)g)",
     )
-    rank_cmd.add_argument("--out-json", help="write the full report as JSON")
-    rank_cmd.add_argument("--out-csv", help="write the ranking rows as CSV")
-    rank_cmd.add_argument("--out-svg", help="write a bar chart of the scores")
-    rank_cmd.add_argument(
+    parser.add_argument("--out-json", help="write the full report as JSON")
+    parser.add_argument("--out-csv", help="write the ranking rows as CSV")
+    parser.add_argument("--out-svg", help="write a bar chart of the scores")
+    parser.add_argument(
         "--mse-tol",
         type=float,
         default=RunConfig.mse_tol,
         help="validation tolerance for the pipeline-vs-reference MSE",
     )
-    rank_cmd.add_argument(
+    parser.add_argument(
         "--force",
         action="store_true",
         default=RunConfig.force,
         help="continue past a failed consistency gate",
     )
 
-    check_cmd = commands.add_parser(
-        "check", help="run through the consistency stage and print the report"
-    )
-    _add_input_flags(check_cmd)
 
-    dump_cmd = commands.add_parser(
-        "dump", help="write one intermediate stage artifact"
-    )
-    _add_input_flags(dump_cmd)
-    dump_cmd.add_argument(
+def _add_dump_flags(parser: argparse.ArgumentParser) -> None:
+    _add_input_flags(parser)
+    parser.add_argument(
         "--dump",
         required=True,
         choices=DUMP_STAGES,
         metavar="STAGE",
         help=f"stage to dump: one of {', '.join(DUMP_STAGES)}",
     )
-    dump_cmd.add_argument(
+    parser.add_argument(
         "--out-json", help="write the fuzzy dump as JSON instead of to stdout"
     )
-    dump_cmd.add_argument(
+    parser.add_argument(
         "--out-csv", help="write any other dump as CSV instead of to stdout"
     )
 
+
+# command -> (its line in the top-level help, the function adding its flags)
+_COMMANDS = {
+    "rank": ("run the full pipeline and emit the ranking report", _add_rank_flags),
+    "check": (
+        "run through the consistency stage and print the report",
+        _add_input_flags,
+    ),
+    "dump": ("write one intermediate stage artifact", _add_dump_flags),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full grammar: the top-level parser and one sub-parser per command.
+
+    A run whose first word is a command parses with that command's parser
+    alone (see _parse_args); help and usage errors come from this tree.
+    """
+    parser = _Parser(prog="fahp", description=__doc__)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_flags) in _COMMANDS.items():
+        add_flags(commands.add_parser(name, help=summary))
     return parser
 
 
-def _refuse_unwritten_output(parser: argparse.ArgumentParser, args) -> None:
+def _unwritten_output(args: argparse.Namespace) -> str | None:
     """The fuzzy dump writes only --out-json and every other dump only
     --out-csv; the flag a stage would not write is a usage error."""
+    if args.command != "dump":
+        return None
     if args.dump == "fuzzy" and args.out_csv is not None:
-        parser.error(
+        return (
             "argument --out-csv: only --dump normalized, comparison or extents "
             "takes it, not --dump fuzzy"
         )
     if args.dump != "fuzzy" and args.out_json is not None:
-        parser.error(
-            f"argument --out-json: only --dump fuzzy takes it, not --dump {args.dump}"
-        )
+        return f"argument --out-json: only --dump fuzzy takes it, not --dump {args.dump}"
+    return None
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with the named command's parser alone, a sub-parser of the tree
+    built on its own; any argv it does not take whole goes through the full
+    tree, so help, usage errors and exit codes read as the tree's."""
+    if argv and argv[0] in _COMMANDS:
+        lone = _Parser(prog=f"fahp {argv[0]}")
+        _COMMANDS[argv[0]][1](lone)
+        lone.set_defaults(command=argv[0])
+        args, unrecognized = lone.parse_known_args(argv[1:])
+        if not unrecognized and _unwritten_output(args) is None:
+            return args
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    refusal = _unwritten_output(args)
+    if refusal is not None:
+        parser.error(refusal)
+    return args
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -236,11 +266,8 @@ def cmd_dump(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "dump":
-            _refuse_unwritten_output(parser, args)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -201,6 +201,8 @@ def check(c: ComparisonMatrix, ir_mode: str = "standard") -> ConsistencyReport:
     was forced. Negative ratios are accepted (with a warning) since the
     gate is an upper bound only.
     """
+    # an unknown mode or an order past the table refuses before iterating
+    ir = random_index(c.n, mode=ir_mode)
     warnings: list[str] = []
     if ir_mode == "paper_compat":
         t = 1.0
@@ -208,7 +210,6 @@ def check(c: ComparisonMatrix, ir_mode: str = "standard") -> ConsistencyReport:
     else:
         t = lambda_max(c)
     ci = consistency_index(t, c.n)
-    ir = random_index(c.n, mode=ir_mode)
     cr = consistency_ratio(ci, ir)
     if cr < 0.0:
         warnings.append(

@@ -332,6 +332,37 @@ class TestCheck:
         assert code == EXIT_GATE_REJECTED
         assert "accepted: false" in capsys.readouterr().out
 
+    def test_order_past_the_table_refused_before_the_power_iteration(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_iteration(c):
+            raise AssertionError("lambda_max ran")
+
+        columns = [f"c{j}" for j in range(11)]
+        rows = [
+            ",".join([f"u{i}", *(str((i * 7 + j * 3) % 9 * 0.5) for j in range(11))])
+            for i in range(5)
+        ]
+        csv_path = tmp_path / "eleven.csv"
+        csv_path.write_text(
+            "\n".join([",".join(["ID", *columns]), *rows]) + "\n", encoding="utf-8"
+        )
+        schema_path = tmp_path / "eleven_schema.json"
+        schema_path.write_text(
+            json.dumps(
+                {"id_column": "ID", "criteria_columns": {c: c.upper() for c in columns}}
+            ),
+            encoding="utf-8",
+        )
+        monkeypatch.setattr("fahp.consistency.lambda_max", no_iteration)
+        code = main(["check", "--input", str(csv_path), "--schema", str(schema_path)])
+        assert code == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "fahp: consistency: no random index for order 11; table covers 1..10\n"
+        )
+
 
 class TestGate:
     def test_rank_stops_at_rejected_gate(self, trio_inputs, cyclic_rule, capsys):
@@ -1094,6 +1125,129 @@ class TestFlagsPerCommand:
         parser = commands.choices[command]
         flags = [a for a in parser._actions if a.option_strings and a.dest != "help"]
         assert len(flags) == count
+
+
+# the flags each command requires besides --input
+REQUIRED = {"rank": [], "check": [], "dump": ["--dump", "normalized"]}
+
+# argvs parsed both by main's path and by the full tree; none reads a file
+PARSE_CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["-h", "rank"],
+    *([command, "-h"] for command in REQUIRED),
+    ["bogus"],
+    ["ran"],
+    ["--input", "x", "rank"],
+    ["--", "rank", "--input", "x"],
+    *(
+        [command, "--input", "x", *REQUIRED[command], *flags]
+        for command, flags in UNREAD_FLAGS
+    ),
+    ["dump", "--input", "x", "--dump", "normalized", "--out-json", "x.json"],
+    ["dump", "--input", "x", "--dump", "comparison", "--out-json", "x.json"],
+    ["dump", "--input", "x", "--dump", "extents", "--out-json", "x.json"],
+    ["dump", "--input", "x", "--dump", "fuzzy", "--out-csv", "x.csv"],
+    ["dump", "--input", "x", "--dump", "fuzzy", "--out-json", "x.json"],
+    ["rank", "--inp", "x"],
+    ["rank", "--input=x"],
+    ["rank", "--input", "x", "stray"],
+    ["rank", "--input", "x", "--aggregate", "median"],
+    ["rank", "--input", "x", "--report-scale", "big"],
+    ["dump", "--input", "x", "--dump", "raw"],
+    ["rank", "--bogus", "-h"],
+    ["rank", "--input", "x", "--", "y"],
+    ["dump", "--input", "x"],
+    *([command] for command in REQUIRED),
+    *([command, "--input", "x", *REQUIRED[command]] for command in REQUIRED),
+]
+
+# what a parser's action is made of, field by field
+ACTION_FIELDS = (
+    "option_strings",
+    "dest",
+    "default",
+    "type",
+    "choices",
+    "required",
+    "nargs",
+    "metavar",
+    "help",
+)
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        outcome = ("parsed", parse(argv))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+def _tree_parse(argv):
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    refusal = cli._unwritten_output(args)
+    if refusal is not None:
+        parser.error(refusal)
+    return args
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """Every _Parser constructed while the test runs, sub-parsers included."""
+    built = []
+
+    class CountedParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(cli, "_Parser", CountedParser)
+    return built
+
+
+class TestParsePath:
+    @pytest.mark.parametrize(
+        "argv", PARSE_CORPUS, ids=[" ".join(argv) or "<none>" for argv in PARSE_CORPUS]
+    )
+    def test_parses_as_the_full_tree(self, capsys, argv):
+        tree = _parse_outcome(_tree_parse, argv, capsys)
+        assert _parse_outcome(cli._parse_args, argv, capsys) == tree
+
+    def test_valid_run_builds_one_parser(self, dataset_path, parsers_built, capsys):
+        assert main(["check", "--input", str(dataset_path)]) == EXIT_OK
+        assert [p.prog for p in parsers_built] == ["fahp check"]
+
+    def test_help_builds_the_full_tree(self, parsers_built, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert [p.prog for p in parsers_built] == [
+            "fahp",
+            "fahp rank",
+            "fahp check",
+            "fahp dump",
+        ]
+        assert capsys.readouterr().out.startswith("usage: fahp [-h]")
+
+    @pytest.mark.parametrize("command", list(REQUIRED))
+    def test_lone_parser_is_the_tree_sub_parser(self, parsers_built, command):
+        cli._parse_args([command, "--input", "x", *REQUIRED[command]])
+        (lone,) = parsers_built
+        commands = next(
+            a for a in cli.build_parser()._actions if a.dest == "command"
+        )
+        sub_parser = commands.choices[command]
+        assert lone.prog == sub_parser.prog == f"fahp {command}"
+
+        def fields(parser):
+            return [
+                (type(a), *(getattr(a, name) for name in ACTION_FIELDS))
+                for a in parser._actions
+            ]
+
+        assert fields(lone) == fields(sub_parser)
 
 
 # (command, extra flags, output flag): every path the CLI writes to

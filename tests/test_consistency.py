@@ -231,6 +231,20 @@ class TestCheck:
         with pytest.raises(ValueError):
             check(matrix([[1, 3], [1 / 3, 1]]), "other")
 
+    def test_refusals_come_before_the_power_iteration(self, monkeypatch):
+        def no_iteration(c):
+            raise AssertionError("lambda_max ran")
+
+        monkeypatch.setattr(consistency, "lambda_max", no_iteration)
+        entries = np.ones((11, 11))
+        entries[np.triu_indices(11, 1)] = 3.0
+        entries[np.tril_indices(11, -1)] = 1 / 3
+        eleven = ComparisonMatrix(entries=entries)
+        with pytest.raises(UnsupportedOrder):
+            check(eleven, "standard")
+        with pytest.raises(ValueError, match="mode must be one of"):
+            check(eleven, "other")
+
     def test_cyclic_matrix_rejected(self):
         report = check(matrix([[1, 9, 1 / 9], [1 / 9, 1, 9], [9, 1 / 9, 1]]))
         assert not report.accepted
