@@ -52,97 +52,88 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _add_input_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", required=True, help="ratings CSV path")
-    parser.add_argument(
-        "--schema",
-        default=RunConfig.schema,
-        help="JSON schema override mapping CSV columns to criterion labels",
-    )
-    parser.add_argument(
-        "--ir-mode",
-        choices=MODES,
-        default=RunConfig.ir_mode,
-        help="random-index source: Saaty table, or the compatibility "
+# each command's flags in help order, with their add_argument keywords: the one
+# definition that build_parser builds the tree from and _plain_args reads argv by
+_INPUT_FLAGS = {
+    "--input": {"required": True, "help": "ratings CSV path"},
+    "--schema": {
+        "default": RunConfig.schema,
+        "help": "JSON schema override mapping CSV columns to criterion labels",
+    },
+    "--ir-mode": {
+        "choices": MODES,
+        "default": RunConfig.ir_mode,
+        "help": "random-index source: Saaty table, or the compatibility "
         "constant 180 with a forced principal value of 1",
-    )
-    parser.add_argument(
-        "--derivation",
-        default=RunConfig.derivation,
-        help="comparison-derivation rule name: mean_gap or uniform",
-    )
+    },
+    "--derivation": {
+        "default": RunConfig.derivation,
+        "help": "comparison-derivation rule name: mean_gap or uniform",
+    },
+}
 
-
-def _add_rank_flags(parser: argparse.ArgumentParser) -> None:
-    _add_input_flags(parser)
-    parser.add_argument(
-        "--aggregate",
-        choices=AGGREGATES,
-        default=RunConfig.aggregate,
-        help="column fold used by the scoring stage",
-    )
-    parser.add_argument(
-        "--report-scale",
-        type=float,
-        default=RunConfig.report_scale,
-        help="factor applied to reported scores (report only, default "
-        "%(default)g)",
-    )
-    parser.add_argument("--out-json", help="write the full report as JSON")
-    parser.add_argument("--out-csv", help="write the ranking rows as CSV")
-    parser.add_argument("--out-svg", help="write a bar chart of the scores")
-    parser.add_argument(
-        "--mse-tol",
-        type=float,
-        default=RunConfig.mse_tol,
-        help="validation tolerance for the pipeline-vs-reference MSE",
-    )
-    parser.add_argument(
-        "--force",
-        action="store_true",
-        default=RunConfig.force,
-        help="continue past a failed consistency gate",
-    )
-
-
-def _add_dump_flags(parser: argparse.ArgumentParser) -> None:
-    _add_input_flags(parser)
-    parser.add_argument(
-        "--dump",
-        required=True,
-        choices=DUMP_STAGES,
-        metavar="STAGE",
-        help=f"stage to dump: one of {', '.join(DUMP_STAGES)}",
-    )
-    parser.add_argument(
-        "--out-json", help="write the fuzzy dump as JSON instead of to stdout"
-    )
-    parser.add_argument(
-        "--out-csv", help="write any other dump as CSV instead of to stdout"
-    )
-
-
-# command -> (its line in the top-level help, the function adding its flags)
+# command -> (its line in the top-level help, its flags)
 _COMMANDS = {
-    "rank": ("run the full pipeline and emit the ranking report", _add_rank_flags),
+    "rank": (
+        "run the full pipeline and emit the ranking report",
+        {
+            **_INPUT_FLAGS,
+            "--aggregate": {
+                "choices": AGGREGATES,
+                "default": RunConfig.aggregate,
+                "help": "column fold used by the scoring stage",
+            },
+            "--report-scale": {
+                "type": float,
+                "default": RunConfig.report_scale,
+                "help": "factor applied to reported scores (report only, default "
+                "%(default)g)",
+            },
+            "--out-json": {"help": "write the full report as JSON"},
+            "--out-csv": {"help": "write the ranking rows as CSV"},
+            "--out-svg": {"help": "write a bar chart of the scores"},
+            "--mse-tol": {
+                "type": float,
+                "default": RunConfig.mse_tol,
+                "help": "validation tolerance for the pipeline-vs-reference MSE",
+            },
+            "--force": {
+                "action": "store_true",
+                "default": RunConfig.force,
+                "help": "continue past a failed consistency gate",
+            },
+        },
+    ),
     "check": (
         "run through the consistency stage and print the report",
-        _add_input_flags,
+        _INPUT_FLAGS,
     ),
-    "dump": ("write one intermediate stage artifact", _add_dump_flags),
+    "dump": (
+        "write one intermediate stage artifact",
+        {
+            **_INPUT_FLAGS,
+            "--dump": {
+                "required": True,
+                "choices": DUMP_STAGES,
+                "metavar": "STAGE",
+                "help": f"stage to dump: one of {', '.join(DUMP_STAGES)}",
+            },
+            "--out-json": {"help": "write the fuzzy dump as JSON instead of to stdout"},
+            "--out-csv": {"help": "write any other dump as CSV instead of to stdout"},
+        },
+    ),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The full grammar: the top-level parser and one sub-parser per command.
-
-    A run whose first word is a command parses with that command's parser
-    alone (see _parse_args); help and usage errors come from this tree.
-    """
+    """The full grammar, one sub-parser per command of _COMMANDS. Help, usage
+    errors and exit codes come from it; _plain_args reads argv without it."""
     parser = _Parser(prog="fahp", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, add_flags) in _COMMANDS.items():
-        add_flags(commands.add_parser(name, help=summary))
+    for name, (summary, flags) in _COMMANDS.items():
+        sub_parser = commands.add_parser(name, help=summary)
+        for flag, keywords in flags.items():
+            sub_parser.add_argument(flag, **keywords)
     return parser
 
 
@@ -161,22 +152,53 @@ def _unwritten_output(args: argparse.Namespace) -> str | None:
     return None
 
 
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The tree's Namespace for a plain command line, else None: a command,
+    then its flags spelled in full, each but --force followed by a value not
+    starting with "-" that passes the flag's type and choices, every required
+    flag given, and no dump output that _unwritten_output refuses."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = _COMMANDS[argv[0]][1]
+    given = {}
+    words = iter(argv[1:])
+    for flag in words:
+        keywords = flags.get(flag)
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(words, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[flag] = value
+    if any(k.get("required") and f not in given for f, k in flags.items()):
+        return None
+    args = argparse.Namespace(command=argv[0])
+    for flag, keywords in flags.items():
+        dest = flag[2:].replace("-", "_")
+        setattr(args, dest, given.get(flag, keywords.get("default")))
+    return None if _unwritten_output(args) else args
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse with the named command's parser alone, a sub-parser of the tree
-    built on its own; any argv it does not take whole goes through the full
-    tree, so help, usage errors and exit codes read as the tree's."""
-    if argv and argv[0] in _COMMANDS:
-        lone = _Parser(prog=f"fahp {argv[0]}")
-        _COMMANDS[argv[0]][1](lone)
-        lone.set_defaults(command=argv[0])
-        args, unrecognized = lone.parse_known_args(argv[1:])
-        if not unrecognized and _unwritten_output(args) is None:
-            return args
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    refusal = _unwritten_output(args)
-    if refusal is not None:
-        parser.error(refusal)
+    """A plain command line is read from the flag table alone; any other argv
+    goes through the full tree, so help, usage errors and exit codes read as
+    the tree's."""
+    args = _plain_args(argv)
+    if args is None:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        refusal = _unwritten_output(args)
+        if refusal is not None:
+            parser.error(refusal)
     return args
 
 

@@ -74,9 +74,6 @@ class RankingReport(Record):
     consistency: ConsistencyReport
     weights: WeightVector
 
-    def score_by_label(self) -> dict[str, float]:
-        return {row.label: row.score_real for row in self.rows}
-
 
 def build_report(
     real_scores: np.ndarray,

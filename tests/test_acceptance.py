@@ -227,7 +227,7 @@ def test_mse_validation(dataset_path):
         ref_scores = oracle.scores_from_cells(
             result.matrix.values.tolist(), ref_weights
         )
-        by_label = result.report.score_by_label()
+        by_label = {row.label: row.score_real for row in result.report.rows}
         lib_scores = [by_label[label] for label in result.matrix.criteria]
         assert mse(lib_scores, ref_scores) <= 1e-3
 

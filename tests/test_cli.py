@@ -1,6 +1,9 @@
 """Command-line behavior, exercised in process through main(argv)."""
 
+import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -10,6 +13,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fahp import (
     DatasetSchema,
@@ -1161,6 +1166,16 @@ PARSE_CORPUS = [
     ["dump", "--input", "x"],
     *([command] for command in REQUIRED),
     *([command, "--input", "x", *REQUIRED[command]] for command in REQUIRED),
+    ["rank", "--input", ""],
+    ["rank", "--input", "-"],
+    ["rank", "--input", "x", "--report-scale", "-1"],
+    ["rank", "--input", "x", "--report-scale", " 1 "],
+    ["rank", "--input", "x", "--report-scale", "1_0"],
+    ["rank", "--input", "x", "--force", "--force"],
+    ["rank", "--input", "x", "--force", "x"],
+    ["check", "--force"],
+    ["rank", "--input", "x", "--out-json", "a", "--out-json", "b"],
+    ["rank", "--input", "--force"],
 ]
 
 # what a parser's action is made of, field by field
@@ -1184,6 +1199,70 @@ def _parse_outcome(parse, argv, capsys):
         outcome = ("exit", exc.code)
     captured = capsys.readouterr()
     return outcome, captured.out, captured.err
+
+
+def _captured_outcome(parse, argv):
+    """Like _parse_outcome, with floats compared by repr so NaN equals NaN."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            outcome = ("parsed", {k: repr(v) for k, v in vars(parse(argv)).items()})
+        except SystemExit as exc:
+            outcome = ("exit", exc.code)
+    return outcome, out.getvalue(), err.getvalue()
+
+
+# values for any flag: every choice, and words that trip up a parser
+PARSE_VALUES = sorted(
+    {"x", "", "-", "-1", "nan", "a=b", " 1 ", "1_0", "2", "median", "raw"}
+    | {"-h", "--", "--force", "--inp", "-x"}
+    | {c for _, flags in cli._COMMANDS.values() for k in flags.values()
+       for c in k.get("choices", ())}
+)
+
+
+def _draw_value(draw, keywords):
+    """Mostly a value the flag takes, else any of PARSE_VALUES."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(PARSE_VALUES))
+    if "choices" in keywords:
+        return draw(st.sampled_from(keywords["choices"]))
+    if "type" in keywords:
+        return draw(st.sampled_from(["2", "0.5", "1e-3", "nan"]))
+    return draw(st.sampled_from(["x", "a=b", "", "x.out"]))
+
+
+@st.composite
+def argvs(draw):
+    """Argvs biased toward plain command lines: a command, its required flags
+    as a rule, and its flags in any order and repeated, with values that are
+    sometimes invalid, mixed with abbreviations, = forms, -h and --."""
+    command = draw(st.sampled_from([*REQUIRED] * 6 + ["bogus", "-h", "--"]))
+    table = cli._COMMANDS.get(command, cli._COMMANDS["rank"])[1]
+    pairs = [
+        (flag, keywords)
+        for flag, keywords in table.items()
+        if keywords.get("required") and draw(st.integers(0, 9))
+    ]
+    # --inp and --out abbreviate, --out ambiguously; --out-svg is rank's alone
+    others = [*table, *table, "--force", "--force", "--out-svg", "--inp", "--out", "-h"]
+    for _ in range(draw(st.integers(0, 6))):
+        flag = draw(st.sampled_from(others))
+        pairs.append((flag, table.get(flag, {})))
+    words = []
+    for flag, keywords in draw(st.permutations(pairs)):
+        form = draw(st.integers(0, 19))
+        value = _draw_value(draw, keywords)
+        if form == 0:
+            words.append(f"{flag}={value}")
+        elif flag in ("--force", "-h") and form < 12:
+            words.append(flag)
+        else:
+            words += [flag, value]
+    if draw(st.integers(0, 9)) == 0:
+        odd = draw(st.sampled_from(["--", "--help", "stray", "--bogus", "--inp"]))
+        words.insert(draw(st.integers(0, len(words))), odd)
+    return [command, *words]
 
 
 def _tree_parse(argv):
@@ -1217,9 +1296,18 @@ class TestParsePath:
         tree = _parse_outcome(_tree_parse, argv, capsys)
         assert _parse_outcome(cli._parse_args, argv, capsys) == tree
 
-    def test_valid_run_builds_one_parser(self, dataset_path, parsers_built, capsys):
-        assert main(["check", "--input", str(dataset_path)]) == EXIT_OK
-        assert [p.prog for p in parsers_built] == ["fahp check"]
+    @settings(max_examples=400, deadline=None)
+    @given(argv=argvs())
+    def test_any_argv_parses_as_the_full_tree(self, argv):
+        assert _captured_outcome(cli._parse_args, argv) == _captured_outcome(
+            _tree_parse, argv
+        )
+
+    def test_valid_run_builds_no_parser(self, dataset_path, parsers_built, capsys):
+        for command in REQUIRED:
+            argv = [command, "--input", str(dataset_path), *REQUIRED[command]]
+            assert main(argv) == EXIT_OK
+        assert parsers_built == []
 
     def test_help_builds_the_full_tree(self, parsers_built, capsys):
         assert main(["--help"]) == EXIT_OK
@@ -1232,22 +1320,37 @@ class TestParsePath:
         assert capsys.readouterr().out.startswith("usage: fahp [-h]")
 
     @pytest.mark.parametrize("command", list(REQUIRED))
-    def test_lone_parser_is_the_tree_sub_parser(self, parsers_built, command):
-        cli._parse_args([command, "--input", "x", *REQUIRED[command]])
-        (lone,) = parsers_built
+    def test_tree_sub_parser_is_the_table(self, command):
+        """Each action holds what _plain_args reads from the table: the dest
+        spelled from the flag, the table's default, type, choices and
+        required, and one value per flag but --force."""
         commands = next(
             a for a in cli.build_parser()._actions if a.dest == "command"
         )
         sub_parser = commands.choices[command]
-        assert lone.prog == sub_parser.prog == f"fahp {command}"
-
-        def fields(parser):
-            return [
-                (type(a), *(getattr(a, name) for name in ACTION_FIELDS))
-                for a in parser._actions
-            ]
-
-        assert fields(lone) == fields(sub_parser)
+        assert sub_parser.prog == f"fahp {command}"
+        expected = []
+        for flag, keywords in cli._COMMANDS[command][1].items():
+            takes_no_value = keywords.get("action") == "store_true"
+            expected.append(
+                (
+                    argparse._StoreTrueAction if takes_no_value else argparse._StoreAction,
+                    [flag],
+                    flag[2:].replace("-", "_"),
+                    keywords.get("default"),
+                    keywords.get("type"),
+                    keywords.get("choices"),
+                    keywords.get("required", False),
+                    0 if takes_no_value else None,
+                    keywords.get("metavar"),
+                    keywords["help"],
+                )
+            )
+        assert [
+            (type(a), *(getattr(a, name) for name in ACTION_FIELDS))
+            for a in sub_parser._actions
+            if a.dest != "help"
+        ] == expected
 
 
 # (command, extra flags, output flag): every path the CLI writes to

@@ -216,7 +216,8 @@ class TestReportAndValidate:
 
     def test_score_by_label_and_with_mse(self):
         report = toy_report(mse=0.25)
-        assert report.score_by_label()["B"] == 0.3
+        by_label = {row.label: row.score_real for row in report.rows}
+        assert by_label["B"] == 0.3
         assert report.mse == 0.25
 
     def test_validate_identical(self):
