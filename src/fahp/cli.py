@@ -52,8 +52,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-# each command's flags in help order, with their add_argument keywords: the one
-# definition that build_parser builds the tree from and _plain_args reads argv by
+# each command's flags in help order, with their add_argument keywords: the
+# only definition, which build_parser and _plain_args both read
 _INPUT_FLAGS = {
     "--input": {"required": True, "help": "ratings CSV path"},
     "--schema": {
