@@ -221,19 +221,21 @@ def cmd_rank(config: RunConfig, args: argparse.Namespace) -> int:
             if not math.isfinite(value * config.report_scale):
                 raise ScaledScoreOverflow(row.label, config.report_scale)
     echo = config.echo()
-    if args.out_json:
+    # an empty path is written to, and refused as unwritable
+    if args.out_json is not None:
         _write_output(args.out_json, render_json(report, echo, config.report_scale))
-    if args.out_csv:
+    if args.out_csv is not None:
         _write_output(args.out_csv, render_ranking_csv(report, config.report_scale))
-    if args.out_svg:
+    if args.out_svg is not None:
         _write_output(args.out_svg, render_scores_svg(report, config.report_scale))
 
     cons = report.consistency
-    print(f"consistency: cr = {cons.cr:.4f}, accepted = {str(cons.accepted).lower()}")
+    lines = [f"consistency: cr = {cons.cr:.4f}, accepted = {str(cons.accepted).lower()}"]
     for row in report.rows:
         real = row.score_real * config.report_scale
-        print(f"{row.rank:3d}  {row.label:<24}  {real:.4f}")
-    print(f"mse vs reference: {report.mse:.3e} (tolerance {config.mse_tol:g})")
+        lines.append(f"{row.rank:3d}  {row.label:<24}  {real:.4f}")
+    lines.append(f"mse vs reference: {report.mse:.3e} (tolerance {config.mse_tol:g})")
+    print("\n".join(lines))
     if not result.validation.passed:
         print(
             "fahp: validation: mse exceeds the configured tolerance",
@@ -280,7 +282,7 @@ def cmd_dump(config: RunConfig, args: argparse.Namespace) -> int:
             text = render_matrix_csv(["label", "l", "m", "u"], criteria, extents)
 
     out_path = args.out_json if args.dump == "fuzzy" else args.out_csv
-    if out_path:
+    if out_path is not None:
         _write_output(out_path, text)
     else:
         sys.stdout.write(text)

@@ -22,6 +22,7 @@ from .errors import (
     ZeroRandomIndex,
 )
 from .record import Record, frozen
+from .tfn import CRISP, checked_codes
 
 CR_LIMIT = 0.1
 
@@ -44,9 +45,17 @@ _CI_ZERO_TOL = 1e-9
 
 
 class ComparisonMatrix(Record):
-    """n x n reciprocal matrix of Saaty intensities and their reciprocals."""
+    """n x n reciprocal matrix of Saaty intensities and their reciprocals.
+
+    Built from floats, ComparisonMatrix(entries=...), the entries pass the
+    float checks below and codes is None. Built by from_codes, the matrix
+    also carries its scale codes (see fahp.tfn) and no float is checked.
+    """
 
     entries: np.ndarray
+
+    # not a field: the scale codes of a matrix built by from_codes
+    codes = None
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=float)
@@ -63,34 +72,60 @@ class ComparisonMatrix(Record):
             raise ValueError("entries must lie within [1/9, 9]")
         object.__setattr__(self, "entries", frozen(arr))
 
+    @classmethod
+    def from_codes(cls, codes) -> "ComparisonMatrix":
+        """The matrix whose entry (i, j) is CRISP[codes[i, j]].
+
+        checked_codes proves what the float checks test: every CRISP
+        value is finite and in [1/9, 9], code 0 on the diagonal is
+        exactly 1, and a code and its mirror give k and 1.0 / k, whose
+        product is within RECIPROCITY_TOL of 1.
+        """
+        codes = checked_codes(codes)
+        entries = CRISP[codes]
+        entries.setflags(write=False)
+        matrix = object.__new__(cls)
+        matrix.__dict__.update(entries=entries, codes=codes)
+        return matrix
+
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
 
-def _mean_gap_rule(means: Sequence[float]) -> np.ndarray:
+def _mean_gap_rule(means: np.ndarray) -> np.ndarray:
     """Bin pairwise mean gaps linearly onto the 1..9 intensity ladder.
 
     For means mu_i >= mu_j the intensity is
     clamp(1 + floor(8 * (mu_i - mu_j) / (mu_max - mu_min) + 0.5), 1, 9)
     (rounding half up) and a_ji is its reciprocal, so tied means and the
-    diagonal get 1. Equal extremes give an all-ones matrix.
+    diagonal get 1. Equal extremes give an all-ones matrix. Returns the
+    scale codes of the entries.
     """
-    mu = np.asarray(means, dtype=float)
-    span = float(mu.max() - mu.min())
+    n = means.size
+    span = float(means.max() - means.min())
     if span == 0.0:
-        return np.ones((mu.size, mu.size), dtype=float)
-    gap = mu[:, None] - mu[None, :]
-    intensity = np.clip(np.floor(8.0 * gap / span + 0.5) + 1.0, 1.0, 9.0)
-    return np.where(gap >= 0.0, intensity, 1.0 / intensity.T)
+        return np.zeros((n, n), dtype=np.uint8)
+    if span == math.inf:
+        # the extreme gaps are inf / inf, which no intensity stands for
+        raise ValueError("comparison entries must be finite")
+    gap = means[:, None] - means[None, :]
+    # intensity - 1 where mu_i >= mu_j; never above 0 where mu_i < mu_j
+    steps = np.minimum(np.floor(8.0 * gap / span + 0.5), 8.0)
+    codes = np.maximum(steps, 0.0).astype(np.uint8)
+    # a pair is tied, intensity 1 both ways, unless one side steps up; the
+    # other side of a step k - 1 >= 1 holds 1 / k, code k + 7
+    below = 0.0 < steps.T
+    codes[below] = steps.T[below] + 8.0
+    return codes
 
 
-def _uniform_rule(means: Sequence[float]) -> np.ndarray:
+def _uniform_rule(means: np.ndarray) -> np.ndarray:
     """Treat every pair of criteria as equally important."""
-    n = len(means)
-    return np.ones((n, n), dtype=float)
+    return np.zeros((means.size, means.size), dtype=np.uint8)
 
 
+# rule name -> function from the means vector to the n x n scale codes
 DERIVATION_RULES = {
     "mean_gap": _mean_gap_rule,
     "uniform": _uniform_rule,
@@ -110,7 +145,7 @@ def build_comparison(means: Sequence[float], rule: str = "mean_gap") -> Comparis
         fn = DERIVATION_RULES[rule]
     except KeyError:
         raise UnknownDerivationRule(rule, sorted(DERIVATION_RULES)) from None
-    return ComparisonMatrix(entries=fn(mu))
+    return ComparisonMatrix.from_codes(fn(mu))
 
 
 def lambda_max(c: ComparisonMatrix) -> float:

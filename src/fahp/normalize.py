@@ -28,12 +28,11 @@ class NormalizedMatrix(Record):
         object.__setattr__(self, "values", frozen(arr))
 
 
-def saw_normalize(values) -> tuple[np.ndarray, np.ndarray]:
+def saw_normalize(values) -> np.ndarray:
     """Divide each column by its maximum; a column whose maximum is not
     positive maps to +0.0 throughout.
 
-    Returns (normalized array, column maxima used), both new and writeable.
-    A positive column gets the bits of `arr / col_max`, a `-0.0` cell
+    Returns the normalized array, new and writeable. A positive column gets the bits of `arr / col_max`, a `-0.0` cell
     included; such a cell in a zero column becomes +0.0.
     """
     arr = np.asarray(values, dtype=float)
@@ -42,7 +41,7 @@ def saw_normalize(values) -> tuple[np.ndarray, np.ndarray]:
     # one divide; a column that is not positive is divided by 1, then zeroed
     out = arr / np.where(positive, col_max, 1.0)
     out[:, ~positive] = 0.0
-    return out, col_max
+    return out
 
 
 def normalize(m) -> NormalizedMatrix:
@@ -51,6 +50,6 @@ def normalize(m) -> NormalizedMatrix:
     Idempotent: positive columns already peaking at 1 are unchanged. The
     array is new, frozen here and handed to the record without a copy.
     """
-    values, _ = saw_normalize(m.values)
+    values = saw_normalize(m.values)
     values.setflags(write=False)
     return NormalizedMatrix(values=values)

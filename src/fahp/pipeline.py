@@ -5,6 +5,10 @@ Stage order: ingest -> build_comparison -> consistency gate -> fuzzify
 the normalized dump runs ingest and normalize only. Failures are wrapped
 with the offending stage named; a failed gate raises GateRejected unless
 the config forces continuation.
+
+The derivation rule gives the comparison matrix as scale codes, so fuzzify
+takes them as they are and matches no float. The validate stage hands the
+oracle the comparison array itself, which reads it a row at a time.
 """
 
 from __future__ import annotations
@@ -170,7 +174,7 @@ def run(config: RunConfig) -> PipelineResult:
         # column views, not lists: no Python float is held per cell
         oracle = reference_scores(
             [memoryview(column) for column in partial.matrix.values.T],
-            partial.comparison.entries.tolist(),
+            partial.comparison.entries,
             aggregate=config.aggregate,
         )
         record = validate(real_scores, oracle, tolerance=config.mse_tol)

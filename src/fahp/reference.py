@@ -62,7 +62,7 @@ def _match(value: float) -> tuple[int, int, int] | None:
     return None
 
 
-def _first_off_scale(row: list, i: int) -> NonScaleEntry:
+def _first_off_scale(row: Sequence[float], i: int) -> NonScaleEntry:
     """The error a per-cell loop over row i raises: its first off-scale
     entry, named with its own column and bits (a run of the sorted row
     holds -0.0 and 0.0 together, in either order)."""
@@ -97,10 +97,10 @@ def reference_weights(comparison_entries: Sequence[Sequence[float]]) -> list[flo
     row_sums = []
     for i in range(n):
         row = comparison_entries[i]
-        # plain floats: on numpy scalars the sum below is numpy's, which
-        # warns on +inf + -inf
-        row = row.tolist() if hasattr(row, "tolist") else list(row)
-        entries = row[:i] + row[i + 1 :]
+        # plain floats in a new list: on numpy scalars the sum below is
+        # numpy's, which warns on +inf + -inf
+        entries = row.tolist() if hasattr(row, "tolist") else list(row)
+        del entries[i]
         # NaN != NaN: a NaN, or +inf and -inf together, make the sum NaN;
         # either is off the scale
         total = sum(entries)

@@ -12,7 +12,9 @@ codes: code k - 1 is the direct row of intensity k and code k + 7 the
 inverse row of k >= 2, so every entry is one of the 17 rows of ROW_TABLE.
 Intensity 1 has one code, 0: its inverse row is the same (1, 1, 1).
 Reciprocity is then an integer identity on the codes, and the (n, n, 3)
-float form is only gathered when something prints it.
+float form is only gathered when something prints it. The crisp
+comparison matrix uses the same codes: CRISP holds the value each stands
+for, k or 1.0 / k.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonPositiveSupport, NonScaleEntry, UnknownIntensity
-from .record import Record
+from .record import Record, frozen
 
 # how close a crisp entry must be to an intensity or its reciprocal
 SCALE_MATCH_TOL = 1e-9
@@ -77,6 +79,38 @@ ROW_TABLE.setflags(write=False)
 MIRROR = np.array([0, *range(9, 17), *range(1, 9)], dtype=np.uint8)
 MIRROR.setflags(write=False)
 
+# Read-only map from a code to its crisp comparison entry: intensity k
+# itself, then the correctly rounded 1.0 / k of intensity 2..9.
+CRISP = np.array([*range(1, 10), *(1.0 / k for k in range(2, 10))], dtype=float)
+CRISP.setflags(write=False)
+
+
+def checked_codes(codes) -> np.ndarray:
+    """codes as a read-only uint8 array, once codes.T == MIRROR[codes].
+
+    That one check over the whole matrix also pins every diagonal code to
+    0: 0 is the only code that is its own mirror. A read-only uint8 array
+    that owns its data is taken as is; any other is copied first.
+    """
+    codes = np.asarray(codes)
+    if codes.ndim != 2 or codes.shape[0] != codes.shape[1] or codes.size == 0:
+        raise ValueError(f"expected a non-empty (n, n) code matrix, got {codes.shape}")
+    if codes.dtype.kind not in "iu":
+        raise ValueError(f"codes must be integers, got {codes.dtype}")
+    if codes.min() < 0 or codes.max() >= len(MIRROR):
+        raise ValueError(f"codes must lie in 0..{len(MIRROR) - 1}")
+    if codes.dtype != MIRROR.dtype:
+        codes = codes.astype(MIRROR.dtype)
+    codes = frozen(codes)
+    mirrored = MIRROR[codes]
+    if not np.array_equal(codes.T, mirrored):
+        i, j = np.argwhere(codes.T != mirrored)[0]
+        raise ValueError(
+            f"codes violate reciprocity at ({i}, {j}): code {codes[i, j]} "
+            f"needs {mirrored[i, j]} at ({j}, {i}), found {codes[j, i]}"
+        )
+    return codes
+
 
 def _row(intensity: int) -> int:
     if not 1 <= intensity <= len(_REAL):
@@ -107,14 +141,13 @@ def default_scale_table() -> _Scale:
 class FuzzyComparisonMatrix(Record):
     """n x n matrix of TFNs, reciprocal across the diagonal, held as codes.
 
-    codes index the rows of ROW_TABLE (see the module docstring). The
-    one check, codes.T == MIRROR[codes] over the whole matrix, also pins
-    every diagonal code to 0, the (1, 1, 1) row: 0 is the only code that
-    is its own mirror. Every row of ROW_TABLE is a TFN with l > 0 and
-    every inverse row the reciprocal of its direct row, so codes that pass
-    give finite, ordered, positive, reciprocal floats. Where two codes
-    share a row the check is stricter than a float one: 3 at both (i, j)
-    and (j, i) is refused, although (2/3, 1, 3/2) is its own reciprocal.
+    codes index the rows of ROW_TABLE (see the module docstring) and pass
+    checked_codes, so every diagonal code is 0, the (1, 1, 1) row. Every
+    row of ROW_TABLE is a TFN with l > 0 and every inverse row the
+    reciprocal of its direct row, so codes that pass give finite, ordered,
+    positive, reciprocal floats. Where two codes share a row the check is
+    stricter than a float one: 3 at both (i, j) and (j, i) is refused,
+    although (2/3, 1, 3/2) is its own reciprocal.
 
     values, the (n, n, 3) floats with the last axis ordered (l, m, u), is
     a gather on each access, not stored: only the fuzzy dump and the demos
@@ -124,23 +157,7 @@ class FuzzyComparisonMatrix(Record):
     codes: np.ndarray
 
     def __post_init__(self):
-        codes = np.asarray(self.codes)
-        if codes.ndim != 2 or codes.shape[0] != codes.shape[1] or codes.size == 0:
-            raise ValueError(f"expected a non-empty (n, n) code matrix, got {codes.shape}")
-        if codes.dtype.kind not in "iu":
-            raise ValueError(f"codes must be integers, got {codes.dtype}")
-        if codes.min() < 0 or codes.max() >= len(MIRROR):
-            raise ValueError(f"codes must lie in 0..{len(MIRROR) - 1}")
-        codes = codes.astype(MIRROR.dtype)
-        mirrored = MIRROR[codes]
-        if not np.array_equal(codes.T, mirrored):
-            i, j = np.argwhere(codes.T != mirrored)[0]
-            raise ValueError(
-                f"codes violate reciprocity at ({i}, {j}): code {codes[i, j]} "
-                f"needs {mirrored[i, j]} at ({j}, {i}), found {codes[j, i]}"
-            )
-        codes.setflags(write=False)
-        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "codes", checked_codes(self.codes))
 
     @property
     def n(self) -> int:
@@ -155,6 +172,19 @@ class FuzzyComparisonMatrix(Record):
 def fuzzify(comparison) -> FuzzyComparisonMatrix:
     """Replace each crisp comparison entry by the code of its scale row.
 
+    A matrix built from codes (see ComparisonMatrix.from_codes) carries
+    them, and they are taken as they are. Floats are matched by
+    _match_codes.
+    """
+    codes = getattr(comparison, "codes", None)
+    if codes is None:
+        codes = _match_codes(comparison.entries)
+    return FuzzyComparisonMatrix(codes=codes)
+
+
+def _match_codes(crisp) -> np.ndarray:
+    """The code of each crisp entry's scale row.
+
     Entries above 1 use the direct group, entries below 1 the inverse
     group; 1 itself, its near misses and the diagonal use the direct
     (1, 1, 1) row. Entries that are not a scale intensity or its
@@ -163,7 +193,7 @@ def fuzzify(comparison) -> FuzzyComparisonMatrix:
     """
     size = len(_REAL)
     # the diagonal is never matched: pin it to 1 so it indexes a valid row
-    entries = np.array(comparison.entries, dtype=float)
+    entries = np.array(crisp, dtype=float)
     np.fill_diagonal(entries, 1.0)
     inverse = entries < 1.0
     # nearest intensity k, matched against k itself or against 1/k; entries
@@ -184,4 +214,4 @@ def fuzzify(comparison) -> FuzzyComparisonMatrix:
     codes = k.astype(MIRROR.dtype)
     codes -= 1
     np.add(codes, size - 1, out=codes, where=inverse & (codes > 0))
-    return FuzzyComparisonMatrix(codes=codes)
+    return codes

@@ -69,18 +69,19 @@ def trio_inputs(tmp_path):
 @pytest.fixture
 def cyclic_rule(monkeypatch):
     # a 3-cycle of strong preferences is wildly inconsistent for n >= 3,
-    # so this rule makes the consistency gate reject on demand
+    # so this rule makes the consistency gate reject on demand; a rule
+    # returns scale codes: 9 is code 8 and 1/9 code 16
     def rule(means):
         n = len(means)
-        entries = np.ones((n, n))
+        codes = np.zeros((n, n), dtype=np.uint8)
         for i in range(n):
             for j in range(n):
                 step = (j - i) % 3
                 if i != j and step == 1:
-                    entries[i, j] = 9.0
+                    codes[i, j] = 8
                 elif i != j and step == 2:
-                    entries[i, j] = 1.0 / 9.0
-        return entries
+                    codes[i, j] = 16
+        return codes
 
     monkeypatch.setitem(DERIVATION_RULES, "cyclic_test", rule)
     return "cyclic_test"
