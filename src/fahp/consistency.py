@@ -22,7 +22,7 @@ from .errors import (
     ZeroRandomIndex,
 )
 from .record import Record, frozen
-from .tfn import CRISP, checked_codes
+from .tfn import CRISP, MIRROR, checked_codes
 
 CR_LIMIT = 0.1
 
@@ -103,21 +103,25 @@ def _mean_gap_rule(means: np.ndarray) -> np.ndarray:
     scale codes of the entries.
     """
     n = means.size
-    span = float(means.max() - means.min())
+    span = float(means.max()) - float(means.min())
     if span == 0.0:
         return np.zeros((n, n), dtype=np.uint8)
     if span == math.inf:
-        # the extreme gaps are inf / inf, which no intensity stands for
+        # the extreme gaps would be inf / inf, which no intensity stands for
         raise ValueError("comparison entries must be finite")
-    gap = means[:, None] - means[None, :]
-    # intensity - 1 where mu_i >= mu_j; never above 0 where mu_i < mu_j
-    steps = np.minimum(np.floor(8.0 * gap / span + 0.5), 8.0)
-    codes = np.maximum(steps, 0.0).astype(np.uint8)
-    # a pair is tied, intensity 1 both ways, unless one side steps up; the
-    # other side of a step k - 1 >= 1 holds 1 / k, code k + 7
-    below = 0.0 < steps.T
-    codes[below] = steps.T[below] + 8.0
-    return codes
+    # floor(8 * gap / span + 0.5) in place: intensity - 1 where
+    # mu_i >= mu_j, never above 0 where mu_i < mu_j, so clamped to 0 there
+    steps = means[:, None] - means[None, :]
+    steps *= 8.0
+    steps /= span
+    steps += 0.5
+    np.floor(steps, out=steps)
+    np.maximum(steps, 0.0, out=steps)
+    np.minimum(steps, 8.0, out=steps)
+    direct = steps.astype(np.uint8)
+    # at most one side of a pair is above 0, and the other side holds its
+    # mirror: code k + 7, 1 / k, across from code k - 1 >= 1
+    return direct + MIRROR.take(direct.T)
 
 
 def _uniform_rule(means: np.ndarray) -> np.ndarray:

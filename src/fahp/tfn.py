@@ -102,7 +102,7 @@ def checked_codes(codes) -> np.ndarray:
     if codes.dtype != MIRROR.dtype:
         codes = codes.astype(MIRROR.dtype)
     codes = frozen(codes)
-    mirrored = MIRROR[codes]
+    mirrored = MIRROR.take(codes)
     if not np.array_equal(codes.T, mirrored):
         i, j = np.argwhere(codes.T != mirrored)[0]
         raise ValueError(
