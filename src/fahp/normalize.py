@@ -32,8 +32,9 @@ def saw_normalize(values) -> np.ndarray:
     """Divide each column by its maximum; a column whose maximum is not
     positive maps to +0.0 throughout.
 
-    Returns the normalized array, new and writeable. A positive column gets the bits of `arr / col_max`, a `-0.0` cell
-    included; such a cell in a zero column becomes +0.0.
+    Returns the normalized array, new and writeable. A positive column
+    gets the bits of `arr / col_max`, a `-0.0` cell included; such a cell
+    in a zero column becomes +0.0.
     """
     arr = np.asarray(values, dtype=float)
     col_max = arr.max(axis=0)

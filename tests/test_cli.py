@@ -1396,6 +1396,24 @@ class TestOutputErrors:
             capsys, [*argv, flag, str(path)], path, "No such file or directory"
         )
 
+    @pytest.mark.parametrize(
+        "command, extra, flag",
+        [*OUTPUTS, ("dump", ["--dump", "comparison"], "--out-csv")],
+    )
+    def test_empty_output_path_is_refused(
+        self, small_inputs, tmp_path, monkeypatch, capsys, command, extra, flag
+    ):
+        # an empty path names no file: it is not ignored, and a dump does
+        # not fall back to stdout
+        csv_path, schema_path = small_inputs
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = [command, "--input", csv_path, "--schema", schema_path, *extra, flag, ""]
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", "fahp: output: : No such file or directory\n")
+        assert os.listdir(work) == []
+
     @pytest.mark.parametrize("command, extra, flag", OUTPUTS[::3])
     def test_output_permission_denied(
         self, small_inputs, tmp_path, monkeypatch, capsys, command, extra, flag

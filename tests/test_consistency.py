@@ -73,6 +73,11 @@ class TestBuildComparison:
         assert c.entries[0, 1] == 7.0
         assert c.entries[1, 2] == 4.0
 
+    def test_means_whose_span_overflows_are_refused(self):
+        # the extreme gaps are inf / inf, which no intensity stands for
+        with pytest.raises(ValueError, match="comparison entries must be finite"):
+            build_comparison([-1e308, 0.0, 1e308])
+
     def test_uniform_rule(self):
         c = build_comparison([0.1, 2.2, 3.3], rule="uniform")
         assert np.array_equal(c.entries, np.ones((3, 3)))

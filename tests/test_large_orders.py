@@ -10,6 +10,7 @@ import pytest
 
 import oracle
 from fahp import (
+    ComparisonMatrix,
     build_comparison,
     fuzzify,
     lambda_max,
@@ -37,6 +38,15 @@ def test_mean_gap_matrix_and_weights_match_the_oracle(n, tied):
         expected = oracle.mean_gap(means)
         comparison = build_comparison(means)
         assert comparison.entries.tolist() == expected
+        # the rule's codes are the ones the float matcher finds
+        float_built = ComparisonMatrix(entries=comparison.entries.copy())
+        assert float_built.codes is None
+        assert comparison.codes.tolist() == fuzzify(float_built).codes.tolist()
+
+        uniform = build_comparison(means, rule="uniform")
+        assert uniform.entries.tolist() == [[1.0] * n] * n
+        float_uniform = ComparisonMatrix(entries=uniform.entries.copy())
+        assert uniform.codes.tolist() == fuzzify(float_uniform).codes.tolist()
 
         # the dominant eigenvalue of a positive matrix is real and simple
         eigenvalue = np.linalg.eigvals(comparison.entries).real.max()

@@ -17,7 +17,8 @@ from fahp import (
     default_scale_table,
     fuzzify,
 )
-from fahp.tfn import MIRROR, ROW_TABLE
+from fahp.consistency import RECIPROCITY_TOL
+from fahp.tfn import CRISP, MIRROR, ROW_TABLE, _match_codes
 
 
 class TestTfn:
@@ -119,10 +120,24 @@ class TestScaleTable:
         codes = list(range(len(ROW_TABLE)))
         assert [int(MIRROR[MIRROR[c]]) for c in codes] == codes
         assert [c for c in codes if MIRROR[c] == c] == [0]
-        for constant in (ROW_TABLE, MIRROR):
+        for constant in (ROW_TABLE, MIRROR, CRISP):
             assert not constant.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 constant[1] = constant[2]
+
+    def test_crisp_table(self):
+        # code k - 1 is intensity k, code k + 7 its correctly rounded 1.0 / k
+        assert CRISP.dtype == np.float64
+        assert CRISP.tolist() == [*map(float, range(1, 10)), *(1.0 / k for k in range(2, 10))]
+        for code in range(len(CRISP)):
+            value, mirror = float(CRISP[code]), float(CRISP[MIRROR[code]])
+            assert abs(value * mirror - 1.0) <= RECIPROCITY_TOL, code
+            assert 1.0 / 9.0 <= value <= 9.0, code
+            # the float matcher gives each value back its own code
+            assert _match_codes([[1.0, value], [mirror, 1.0]]).tolist() == [
+                [0, code],
+                [MIRROR[code], 0],
+            ]
 
 
 class TestFuzzify:
