@@ -22,7 +22,7 @@ from .errors import (
     ZeroRandomIndex,
 )
 from .record import Record, frozen
-from .tfn import CRISP, MIRROR, checked_codes
+from .tfn import MIRROR, FuzzyComparisonMatrix
 
 CR_LIMIT = 0.1
 
@@ -45,17 +45,16 @@ _CI_ZERO_TOL = 1e-9
 
 
 class ComparisonMatrix(Record):
-    """n x n reciprocal matrix of Saaty intensities and their reciprocals.
+    """n x n reciprocal matrix of Saaty intensities and their reciprocals,
+    given as floats.
 
-    Built from floats, ComparisonMatrix(entries=...), the entries pass the
-    float checks below and codes is None. Built by from_codes, the matrix
-    also carries its scale codes (see fahp.tfn) and no float is checked.
+    build_comparison gives its matrix as scale codes instead, a
+    fahp.tfn.FuzzyComparisonMatrix, whose crisp entries pass these checks
+    by construction; check and lambda_max read either through entries
+    and n.
     """
 
     entries: np.ndarray
-
-    # not a field: the scale codes of a matrix built by from_codes
-    codes = None
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=float)
@@ -71,22 +70,6 @@ class ComparisonMatrix(Record):
         if np.any(arr < low) or np.any(arr > high):
             raise ValueError("entries must lie within [1/9, 9]")
         object.__setattr__(self, "entries", frozen(arr))
-
-    @classmethod
-    def from_codes(cls, codes) -> "ComparisonMatrix":
-        """The matrix whose entry (i, j) is CRISP[codes[i, j]].
-
-        checked_codes proves what the float checks test: every CRISP
-        value is finite and in [1/9, 9], code 0 on the diagonal is
-        exactly 1, and a code and its mirror give k and 1.0 / k, whose
-        product is within RECIPROCITY_TOL of 1.
-        """
-        codes = checked_codes(codes)
-        entries = CRISP[codes]
-        entries.setflags(write=False)
-        matrix = object.__new__(cls)
-        matrix.__dict__.update(entries=entries, codes=codes)
-        return matrix
 
     @property
     def n(self) -> int:
@@ -136,8 +119,11 @@ DERIVATION_RULES = {
 }
 
 
-def build_comparison(means: Sequence[float], rule: str = "mean_gap") -> ComparisonMatrix:
-    """Derive the criteria comparison matrix from per-criterion means."""
+def build_comparison(
+    means: Sequence[float], rule: str = "mean_gap"
+) -> FuzzyComparisonMatrix:
+    """Derive the criteria comparison matrix from per-criterion means, as
+    scale codes; codes that are not n x n for n means are refused."""
     mu = np.asarray(means, dtype=float)
     if mu.ndim != 1:
         raise ValueError(f"means must be a vector, got shape {mu.shape}")
@@ -149,10 +135,15 @@ def build_comparison(means: Sequence[float], rule: str = "mean_gap") -> Comparis
         fn = DERIVATION_RULES[rule]
     except KeyError:
         raise UnknownDerivationRule(rule, sorted(DERIVATION_RULES)) from None
-    return ComparisonMatrix.from_codes(fn(mu))
+    codes = fn(mu)
+    if np.shape(codes) != (mu.size, mu.size):
+        raise ValueError(
+            f"rule {rule!r} gave codes of shape {np.shape(codes)} for {mu.size} means"
+        )
+    return FuzzyComparisonMatrix(codes=codes)
 
 
-def lambda_max(c: ComparisonMatrix) -> float:
+def lambda_max(c: ComparisonMatrix | FuzzyComparisonMatrix) -> float:
     """Dominant eigenvalue by power iteration.
 
     Positive matrices have a simple dominant eigenvalue, so iteration from
@@ -231,7 +222,9 @@ class ConsistencyReport(Record):
         return doc
 
 
-def check(c: ComparisonMatrix, ir_mode: str = "standard") -> ConsistencyReport:
+def check(
+    c: ComparisonMatrix | FuzzyComparisonMatrix, ir_mode: str = "standard"
+) -> ConsistencyReport:
     """Compose lambda_max -> CI -> IR -> CR and apply the 0.1 gate.
 
     ir_mode is one of MODES. "paper_compat" reproduces the paper: the

@@ -6,9 +6,10 @@ the normalized dump runs ingest and normalize only. Failures are wrapped
 with the offending stage named; a failed gate raises GateRejected unless
 the config forces continuation.
 
-The derivation rule gives the comparison matrix as scale codes, so fuzzify
-takes them as they are and matches no float. The validate stage hands the
-oracle the comparison array itself, which reads it a row at a time.
+build_comparison gives the comparison matrix as scale codes, one
+FuzzyComparisonMatrix that is checked once: the gate reads its crisp
+entries, fuzzify returns it as it is, and the validate stage hands the
+oracle its crisp array, which the oracle reads a row at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from .consistency import (
     DERIVATION_RULES,
     MODES,
-    ComparisonMatrix,
     ConsistencyReport,
     build_comparison,
     check,
@@ -86,7 +86,7 @@ class PipelineResult(Record):
     """
 
     matrix: RatingMatrix
-    comparison: ComparisonMatrix
+    comparison: FuzzyComparisonMatrix
     consistency: ConsistencyReport | None = None
     report: RankingReport | None = None
     validation: ValidationRecord | None = None
@@ -142,7 +142,7 @@ def run_to_consistency(config: RunConfig) -> PipelineResult:
     return PipelineResult(partial.matrix, partial.comparison, report)
 
 
-def fuzzify_stage(comparison: ComparisonMatrix) -> FuzzyComparisonMatrix:
+def fuzzify_stage(comparison: FuzzyComparisonMatrix) -> FuzzyComparisonMatrix:
     """The fuzzify stage; it applies no gate, so the fuzzy and extents
     dumps call it straight after run_to_comparison."""
     with _stage("fuzzify"):

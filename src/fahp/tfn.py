@@ -7,14 +7,14 @@ the direct ("real") group used when a criterion dominates, and the inverse
 group, always the reciprocal (1/u, 1/m, 1/l) of the direct row. Both are
 module constants, built once at import.
 
-A fuzzified comparison matrix is held as an n x n matrix of scale-row
+A comparison matrix on the scale is held as an n x n matrix of scale-row
 codes: code k - 1 is the direct row of intensity k and code k + 7 the
 inverse row of k >= 2, so every entry is one of the 17 rows of ROW_TABLE.
 Intensity 1 has one code, 0: its inverse row is the same (1, 1, 1).
-Reciprocity is then an integer identity on the codes, and the (n, n, 3)
-float form is only gathered when something prints it. The crisp
-comparison matrix uses the same codes: CRISP holds the value each stands
-for, k or 1.0 / k.
+Reciprocity is then an integer identity on the codes. The codes carry
+both readings of the matrix, gathered only when something reads them:
+the crisp entry each stands for, k or 1.0 / k, from CRISP, and its fuzzy
+row from ROW_TABLE.
 """
 
 from __future__ import annotations
@@ -85,33 +85,6 @@ CRISP = np.array([*range(1, 10), *(1.0 / k for k in range(2, 10))], dtype=float)
 CRISP.setflags(write=False)
 
 
-def checked_codes(codes) -> np.ndarray:
-    """codes as a read-only uint8 array, once codes.T == MIRROR[codes].
-
-    That one check over the whole matrix also pins every diagonal code to
-    0: 0 is the only code that is its own mirror. A read-only uint8 array
-    that owns its data is taken as is; any other is copied first.
-    """
-    codes = np.asarray(codes)
-    if codes.ndim != 2 or codes.shape[0] != codes.shape[1] or codes.size == 0:
-        raise ValueError(f"expected a non-empty (n, n) code matrix, got {codes.shape}")
-    if codes.dtype.kind not in "iu":
-        raise ValueError(f"codes must be integers, got {codes.dtype}")
-    if codes.min() < 0 or codes.max() >= len(MIRROR):
-        raise ValueError(f"codes must lie in 0..{len(MIRROR) - 1}")
-    if codes.dtype != MIRROR.dtype:
-        codes = codes.astype(MIRROR.dtype)
-    codes = frozen(codes)
-    mirrored = MIRROR.take(codes)
-    if not np.array_equal(codes.T, mirrored):
-        i, j = np.argwhere(codes.T != mirrored)[0]
-        raise ValueError(
-            f"codes violate reciprocity at ({i}, {j}): code {codes[i, j]} "
-            f"needs {mirrored[i, j]} at ({j}, {i}), found {codes[j, i]}"
-        )
-    return codes
-
-
 def _row(intensity: int) -> int:
     if not 1 <= intensity <= len(_REAL):
         raise UnknownIntensity(intensity)
@@ -139,29 +112,56 @@ def default_scale_table() -> _Scale:
 
 
 class FuzzyComparisonMatrix(Record):
-    """n x n matrix of TFNs, reciprocal across the diagonal, held as codes.
+    """n x n reciprocal comparison matrix on the scale, held as codes.
 
-    codes index the rows of ROW_TABLE (see the module docstring) and pass
-    checked_codes, so every diagonal code is 0, the (1, 1, 1) row. Every
-    row of ROW_TABLE is a TFN with l > 0 and every inverse row the
-    reciprocal of its direct row, so codes that pass give finite, ordered,
-    positive, reciprocal floats. Where two codes share a row the check is
-    stricter than a float one: 3 at both (i, j) and (j, i) is refused,
-    although (2/3, 1, 3/2) is its own reciprocal.
+    codes index the rows of CRISP and ROW_TABLE (see the module docstring)
+    and are kept as a read-only uint8 array once codes.T == MIRROR[codes];
+    that one check also pins every diagonal code to 0, the only code that
+    is its own mirror. A read-only uint8 array that owns its data is taken
+    as is; any other is copied first.
 
-    values, the (n, n, 3) floats with the last axis ordered (l, m, u), is
-    a gather on each access, not stored: only the fuzzy dump and the demos
-    read it, and synthetic_extents folds the codes.
+    Codes that pass give crisp entries that pass every float check of a
+    ComparisonMatrix (each CRISP value is finite, in [1/9, 9], exactly 1
+    at code 0, and times its mirror's value within 1e-12 of 1) and fuzzy
+    entries that are finite, ordered, positive, reciprocal TFNs. Where two
+    codes share a row the check is stricter than a float one: 3 at both
+    (i, j) and (j, i) is refused, although (2/3, 1, 3/2) is its own
+    reciprocal.
+
+    entries, the crisp (n, n) floats, and values, the (n, n, 3) floats
+    ordered (l, m, u), are gathered on each access, not stored.
     """
 
     codes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "codes", checked_codes(self.codes))
+        codes = np.asarray(self.codes)
+        if codes.ndim != 2 or codes.shape[0] != codes.shape[1] or codes.size == 0:
+            raise ValueError(f"expected a non-empty (n, n) code matrix, got {codes.shape}")
+        if codes.dtype.kind not in "iu":
+            raise ValueError(f"codes must be integers, got {codes.dtype}")
+        if codes.min() < 0 or codes.max() >= len(MIRROR):
+            raise ValueError(f"codes must lie in 0..{len(MIRROR) - 1}")
+        codes = frozen(codes.astype(MIRROR.dtype, copy=False))
+        mirrored = MIRROR.take(codes)
+        if not np.array_equal(codes.T, mirrored):
+            i, j = np.argwhere(codes.T != mirrored)[0]
+            raise ValueError(
+                f"codes violate reciprocity at ({i}, {j}): code {codes[i, j]} "
+                f"needs {mirrored[i, j]} at ({j}, {i}), found {codes[j, i]}"
+            )
+        object.__setattr__(self, "codes", codes)
 
     @property
     def n(self) -> int:
         return self.codes.shape[0]
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The crisp entries, k or 1.0 / k, read-only, gathered on each call."""
+        entries = CRISP[self.codes]
+        entries.setflags(write=False)
+        return entries
 
     @property
     def values(self) -> np.ndarray:
@@ -170,16 +170,15 @@ class FuzzyComparisonMatrix(Record):
 
 
 def fuzzify(comparison) -> FuzzyComparisonMatrix:
-    """Replace each crisp comparison entry by the code of its scale row.
+    """The comparison matrix as the codes of its scale rows.
 
-    A matrix built from codes (see ComparisonMatrix.from_codes) carries
-    them, and they are taken as they are. Floats are matched by
-    _match_codes.
+    A FuzzyComparisonMatrix, which build_comparison returns, is returned
+    as it is. The floats of any other matrix, a ComparisonMatrix, are
+    matched by _match_codes.
     """
-    codes = getattr(comparison, "codes", None)
-    if codes is None:
-        codes = _match_codes(comparison.entries)
-    return FuzzyComparisonMatrix(codes=codes)
+    if isinstance(comparison, FuzzyComparisonMatrix):
+        return comparison
+    return FuzzyComparisonMatrix(codes=_match_codes(comparison.entries))
 
 
 def _match_codes(crisp) -> np.ndarray:

@@ -40,7 +40,6 @@ def test_mean_gap_matrix_and_weights_match_the_oracle(n, tied):
         assert comparison.entries.tolist() == expected
         # the rule's codes are the ones the float matcher finds
         float_built = ComparisonMatrix(entries=comparison.entries.copy())
-        assert float_built.codes is None
         assert comparison.codes.tolist() == fuzzify(float_built).codes.tolist()
 
         uniform = build_comparison(means, rule="uniform")

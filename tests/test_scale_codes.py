@@ -3,7 +3,8 @@
 The derivation rule returns the codes, so no command matches a float to
 the scale: with the float matcher made to raise, every command still
 runs, and a run whose comparison matrix is rebuilt from the same floats
-writes the same bytes.
+writes the same bytes. The codes are one record, checked once per run:
+fuzzify returns it as it is, and its crisp entries are gathered from it.
 """
 
 import contextlib
@@ -15,7 +16,8 @@ import sys
 import numpy as np
 import pytest
 
-from fahp import ComparisonMatrix, pipeline, tfn
+from fahp import ComparisonMatrix, FuzzyComparisonMatrix, build_comparison, fuzzify
+from fahp import pipeline, tfn
 from fahp.cli import EXIT_INPUT_ERROR, EXIT_OK, main
 from fahp.consistency import DERIVATION_RULES
 
@@ -151,3 +153,67 @@ def test_a_rule_whose_codes_fail_the_check_is_refused(
     assert code == EXIT_INPUT_ERROR
     assert captured.out == ""
     assert re.fullmatch(f"fahp: comparison: {message}.*\n", captured.err)
+
+
+@pytest.mark.parametrize("rule", ["mean_gap", "uniform"])
+@pytest.mark.parametrize("n", [2, 10, 200])
+def test_the_built_matrix_is_the_one_record(n, rule):
+    means = np.random.default_rng(n).uniform(0.0, 5.0, size=n)
+    comparison = build_comparison(means, rule=rule)
+    assert fuzzify(comparison) is comparison
+    entries = comparison.entries
+    assert entries.tobytes() == tfn.CRISP[comparison.codes].tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        entries[0, 1] = 2.0
+    # a float-built matrix carries no codes; its floats match the rule's
+    float_built = ComparisonMatrix(entries=entries.copy())
+    assert not hasattr(float_built, "codes")
+    assert fuzzify(float_built).codes.tobytes() == comparison.codes.tobytes()
+
+
+@pytest.mark.parametrize("command", COMMANDS.values(), ids=list(COMMANDS))
+def test_the_codes_are_checked_once_per_command(input_flags, command, monkeypatch):
+    checks, fuzzified = [], []
+    post_init = FuzzyComparisonMatrix.__post_init__
+    stage = pipeline.fuzzify
+
+    def counted(self):
+        checks.append(self)
+        post_init(self)
+
+    def recorded(comparison):
+        fuzzified.append((comparison, stage(comparison)))
+        return fuzzified[-1][1]
+
+    monkeypatch.setattr(FuzzyComparisonMatrix, "__post_init__", counted)
+    monkeypatch.setattr(pipeline, "fuzzify", recorded)
+    code, _, err, _ = outcome(input_flags, command)
+    assert (code, err) == (EXIT_OK, "")
+    assert len(checks) == (0 if command[-1] == "normalized" else 1)
+    # the stages that fuzzify get back the record the comparison stage checked
+    assert all(given is result is checks[0] for given, result in fuzzified)
+
+
+@pytest.mark.parametrize("order", [3, 11])
+@pytest.mark.parametrize(
+    "command",
+    [["check"], ["rank"], ["dump", "--dump", "comparison"]],
+    ids=["check", "rank", "dump-comparison"],
+)
+def test_a_rule_of_the_wrong_order_is_refused(
+    dataset_path, command, order, monkeypatch, capsys
+):
+    # the shipped dataset has 10 criteria
+    def rule(means):
+        return np.zeros((order, order), dtype=np.uint8)
+
+    monkeypatch.setitem(DERIVATION_RULES, "wrong_order_test", rule)
+    argv = [command[0], "--input", str(dataset_path), "--derivation", "wrong_order_test"]
+    code = main([*argv, *command[1:]])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR
+    assert captured.out == ""
+    assert captured.err == (
+        "fahp: comparison: rule 'wrong_order_test' gave codes of shape "
+        f"({order}, {order}) for 10 means\n"
+    )
