@@ -27,7 +27,6 @@ from .pipeline import (
     run_to_consistency,
     run_to_normalized,
 )
-from .ranking import AGGREGATES
 from .report import (
     render_fuzzy_json,
     render_json,
@@ -78,11 +77,6 @@ _COMMANDS = {
         "run the full pipeline and emit the ranking report",
         {
             **_INPUT_FLAGS,
-            "--aggregate": {
-                "choices": AGGREGATES,
-                "default": RunConfig.aggregate,
-                "help": "column fold used by the scoring stage",
-            },
             "--report-scale": {
                 "type": float,
                 "default": RunConfig.report_scale,

@@ -2,9 +2,11 @@
 
 Stage order: ingest -> build_comparison -> consistency gate -> fuzzify
 -> synthetic extents -> weights -> normalize -> score -> validate -> rank;
-the normalized dump runs ingest and normalize only. Failures are wrapped
-with the offending stage named; a failed gate raises GateRejected unless
-the config forces continuation.
+the normalized dump runs ingest and normalize only. A score is a
+criterion's weight times its column mean, as in the paper: score and the
+oracle each fold by the mean, and no option selects another fold.
+Failures are wrapped with the offending stage named; a failed gate raises
+GateRejected unless the config forces continuation.
 
 build_comparison gives the comparison matrix as scale codes, one
 FuzzyComparisonMatrix that is checked once: the gate reads its crisp
@@ -30,7 +32,6 @@ from .errors import FahpError, GateRejected, PipelineError, UnknownDerivationRul
 from .extent import synthetic_extents, weights
 from .normalize import NormalizedMatrix, normalize
 from .ranking import (
-    AGGREGATES,
     RankingReport,
     ValidationRecord,
     build_report,
@@ -54,7 +55,6 @@ class RunConfig(Record):
     schema: str | None = None
     ir_mode: str = "standard"
     derivation: str = "mean_gap"
-    aggregate: str = "mean"
     report_scale: float = 1.0
     mse_tol: float = 1e-3
     force: bool = False
@@ -64,8 +64,6 @@ class RunConfig(Record):
             raise ValueError(f"ir_mode must be one of {MODES}")
         if self.derivation not in DERIVATION_RULES:
             raise UnknownDerivationRule(self.derivation, sorted(DERIVATION_RULES))
-        if self.aggregate not in AGGREGATES:
-            raise ValueError(f"aggregate must be one of {AGGREGATES}")
         if not (math.isfinite(self.report_scale) and self.report_scale > 0):
             raise ValueError("report_scale must be finite and positive")
         if not (math.isfinite(self.mse_tol) and self.mse_tol > 0):
@@ -168,14 +166,13 @@ def run(config: RunConfig) -> PipelineResult:
     with _stage("normalize"):
         normalized = normalize(partial.matrix)
     with _stage("score"):
-        real_scores = score(partial.matrix, weight_vector, config.aggregate)
-        normalized_scores = score(normalized, weight_vector, config.aggregate)
+        real_scores = score(partial.matrix, weight_vector)
+        normalized_scores = score(normalized, weight_vector)
     with _stage("validate"):
         # column views, not lists: no Python float is held per cell
         oracle = reference_scores(
             [memoryview(column) for column in partial.matrix.values.T],
             partial.comparison.entries,
-            aggregate=config.aggregate,
         )
         record = validate(real_scores, oracle, tolerance=config.mse_tol)
     with _stage("rank"):

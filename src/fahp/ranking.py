@@ -11,24 +11,17 @@ from .errors import DimensionMismatch, EmptyInput, LengthMismatch
 from .extent import WeightVector
 from .record import Record
 
-AGGREGATES = ("mean", "sum")
-
-
-def score(data, w: WeightVector, aggregate: str = "mean") -> np.ndarray:
-    """score_j = w_j * aggregate_i(data_ij), column by column.
+def score(data, w: WeightVector) -> np.ndarray:
+    """score_j = w_j * mean_i(data_ij), column by column: the paper's score,
+    a criterion's weight times its mean rating. A score on another scale,
+    such as the column sum, is the report's --report-scale.
 
     Returns a new read-only array ordered like w.labels, the column order.
     """
     values = np.asarray(data.values, dtype=float)
     if values.shape[1] != len(w):
         raise DimensionMismatch(values.shape[1], len(w))
-    if aggregate == "mean":
-        folded = values.mean(axis=0)
-    elif aggregate == "sum":
-        folded = values.sum(axis=0)
-    else:
-        raise ValueError(f"aggregate must be one of {AGGREGATES}, got {aggregate!r}")
-    scores = w.weights * folded
+    scores = w.weights * values.mean(axis=0)
     scores.setflags(write=False)
     return scores
 

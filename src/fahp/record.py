@@ -4,14 +4,18 @@ A record's fields are the annotations of its own class body, in order; a
 class attribute of the same name is the field's default. Every record
 shares one __init__ that binds the fields by position and keyword, then
 calls __post_init__, where a record validates and may normalize its
-fields through object.__setattr__. Equality, hashing and repr work over
-the field tuple, and assignment or deletion raises AttributeError.
+fields through object.__setattr__. Equality compares the fields one by
+one, a numpy array field by dtype, shape and elements; hashing and repr
+work over the field tuple, so a record that holds an array refuses to
+hash. Assignment or deletion raises AttributeError.
 
 `_fields`, the tuple of field names, is public, as on a namedtuple.
 `frozen` is how a record keeps a numpy array field.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class Record:
@@ -73,7 +77,7 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(map(_same, self._values(), other._values()))
 
     def __hash__(self):
         return hash(self._values())
@@ -81,6 +85,12 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return type(a) is type(b) and a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
 
 
 def frozen(arr):

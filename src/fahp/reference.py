@@ -26,8 +26,6 @@ from .tfn import default_scale_table
 
 _MATCH_TOL = 1e-9
 
-_AGGREGATES = ("mean", "sum")
-
 # (intensity, is_inverse) -> the scale row's (l, m, u) as integer ratios,
 # for Saaty's intensities 1..9
 _SCALE = default_scale_table()
@@ -158,24 +156,21 @@ def reference_weights(comparison_entries: Sequence[Sequence[float]]) -> list[flo
 def reference_scores(
     cells: Sequence[Sequence[float]],
     comparison_entries: Sequence[Sequence[float]],
-    aggregate: str = "mean",
 ) -> list[float]:
-    """Independent score vector: recomputed weights times column folds;
-    cells holds one sequence of floats per criterion column, not per row.
+    """Independent score vector: recomputed weights times column means, each
+    mean the correctly rounded sum over the column length; cells holds one
+    sequence of floats per criterion column, not per row.
 
     A criterion whose recomputed weight is exactly 0.0 scores 0.0 and its
-    column is never read: 0.0 times the fold of finite ratings in [0, 4]
+    column is never read: 0.0 times the mean of finite ratings in [0, 4]
     is 0.0, so the score never depended on those cells. (A non-finite cell
     in such a column, which no RatingMatrix holds, no longer turns the
     score into NaN.)"""
-    if aggregate not in _AGGREGATES:
-        raise ValueError(f"aggregate must be one of {_AGGREGATES}, got {aggregate!r}")
     w = reference_weights(comparison_entries)
     scores = []
     for c, column in enumerate(cells):
         if w[c] == 0.0:
             scores.append(0.0)
             continue
-        total = math.fsum(column)
-        scores.append(w[c] * (total / len(column) if aggregate == "mean" else total))
+        scores.append(w[c] * (math.fsum(column) / len(column)))
     return scores

@@ -204,7 +204,6 @@ def test_rank_order_reproduction(dataset_path, published_means, published_rank_o
         config = RunConfig(
             input=str(dataset_path),
             derivation="uniform",
-            aggregate="mean",
             report_scale=10.0,
         )
         result = run(config)

@@ -48,9 +48,3 @@ def test_missing_input_names_the_ingest_stage(tmp_path):
         run(RunConfig(input=str(tmp_path / "missing.csv")))
     assert info.value.stage == "ingest"
     assert isinstance(info.value.cause, OSError)
-
-
-def test_unknown_aggregate_is_refused_when_the_config_is_built(tmp_path):
-    # before any stage runs, as for an unknown derivation rule
-    with pytest.raises(ValueError, match="aggregate must be one of"):
-        RunConfig(input=str(tmp_path / "ratings.csv"), aggregate="median")

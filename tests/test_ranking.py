@@ -54,11 +54,6 @@ class TestScore:
         w = weight_vector([1.0, 0.0], ("A", "B"))
         assert score(m, w).tolist() == [3.0, 0.0]
 
-    def test_sum_aggregate(self):
-        m = rating([[1.0, 2.0], [3.0, 4.0]], ("A", "B"))
-        s = score(m, UNIFORM2, aggregate="sum")
-        assert s.tolist() == [2.0, 3.0]
-
     def test_normalized_path_tagged(self):
         m = rating([[1.0, 2.0], [3.0, 4.0]], ("A", "B"))
         s = score(normalize(m), UNIFORM2)
@@ -81,10 +76,28 @@ class TestScore:
         with pytest.raises(DimensionMismatch):
             score(m, w)
 
-    def test_unknown_aggregate(self):
-        m = rating([[1.0, 2.0]], ("A", "B"))
-        with pytest.raises(ValueError):
-            score(m, UNIFORM2, aggregate="median")
+    @given(
+        n=st.integers(2, 12),
+        rows=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        grid=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_normalized_scores_never_exceed_the_weights(self, n, rows, seed, grid):
+        # a mean of cells in [0, 1] is at most 1, so no finite --report-scale
+        # that keeps every weight finite can overflow a normalized score
+        rng = np.random.default_rng(seed)
+        if grid:
+            # quarter steps from 0 to 4 hold both bounds and all-zero columns
+            values = rng.integers(0, 17, size=(rows, n)) / 4
+        else:
+            values = rng.uniform(0.0, 4.0, size=(rows, n))
+        labels = tuple(f"L{i}" for i in range(n))
+        raw = rng.uniform(0.0, 1.0, size=n)
+        w = weight_vector(raw / raw.sum(), labels)
+        s = score(normalize(rating(values, labels)), w)
+        assert np.all(s <= w.weights)
+        assert np.all(w.weights <= 1.0)
 
 
 class TestRank:

@@ -19,6 +19,7 @@ from fahp import (
     RunConfig,
     WeightVector,
     build_comparison,
+    run,
 )
 from fahp import cli
 from fahp.record import Record
@@ -144,10 +145,79 @@ class TestValue:
         )
 
 
+
+def _weight_vector(raw):
+    w = np.asarray(raw, dtype=float)
+    return WeightVector(tuple("ABCD"[: w.size]), w / w.sum(), w / w.max())
+
+
+# record with array fields -> (its build, an argument, the same argument
+# spelled anew, one cell apart, another shape)
+ARRAY_RECORDS = {
+    "comparison": (
+        lambda e: ComparisonMatrix(np.array(e)),
+        [[1.0, 2.0], [0.5, 1.0]],
+        [[1.0, 2.0], [0.5, 1.0]],
+        [[1.0, 3.0], [1 / 3, 1.0]],
+        [[1.0] * 3] * 3,
+    ),
+    "fuzzy": (
+        build_comparison, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 1.5, 3.0],
+        [1.0, 2.0, 3.0, 4.0],
+    ),
+    "normalized": (
+        lambda v: NormalizedMatrix(np.array(v)),
+        [[0.5, 1.0], [1.0, 0.25]],
+        [[0.5, 1.0], [1.0, 0.25]],
+        [[0.5, 1.0], [1.0, 0.5]],
+        [[0.5, 1.0, 1.0], [1.0, 0.25, 0.0]],
+    ),
+    "rating": (
+        lambda v: RatingMatrix(np.array(v), None, ("A", "B")),
+        [[1.0, 2.0], [3.0, 4.0]],
+        [[1.0, 2.0], [3.0, 4.0]],
+        [[1.0, 2.0], [3.0, 3.5]],
+        [[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]],
+    ),
+    "weights": (
+        _weight_vector, [1.0, 2.0, 1.0], [1.0, 2.0, 1.0], [1.0, 2.0, 2.0],
+        [1.0, 2.0, 1.0, 1.0],
+    ),
+}
+
+
+class TestArrayFieldEquality:
+    @pytest.mark.parametrize("name", ARRAY_RECORDS)
+    def test_equal_builds_are_equal(self, name):
+        build, arg, same, _, _ = ARRAY_RECORDS[name]
+        assert build(arg) == build(same)
+        assert not build(arg) != build(same)
+
+    @pytest.mark.parametrize("name", ARRAY_RECORDS)
+    def test_one_cell_or_shape_apart_is_unequal(self, name):
+        build, arg, _, cell, shape = ARRAY_RECORDS[name]
+        assert build(arg) != build(cell)
+        assert build(arg) != build(shape)
+        assert not build(arg) == build(shape)
+
+    def test_dtype_or_type_apart_is_unequal(self):
+        class Holder(Record):
+            values: object
+
+        assert Holder(np.array([1, 2])) == Holder(np.array([1, 2]))
+        assert Holder(np.array([1, 2])) != Holder(np.array([1.0, 2.0]))
+        assert Holder(np.array([1.0, 2.0])) != Holder([1.0, 2.0])
+        assert Holder([1.0, 2.0]) != Holder(np.array([1.0, 2.0]))
+
+    def test_equal_runs_are_equal(self, dataset_path):
+        config = RunConfig(input=str(dataset_path))
+        assert run(config) == run(config)
+        assert run(config) != run(RunConfig(input=str(dataset_path), derivation="uniform"))
+
 class TestRunConfigFields:
     NAMES = (
-        "input", "schema", "ir_mode", "derivation", "aggregate", "report_scale",
-        "mse_tol", "force",
+        "input", "schema", "ir_mode", "derivation", "report_scale", "mse_tol",
+        "force",
     )
 
     def test_field_order(self):

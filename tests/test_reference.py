@@ -30,31 +30,26 @@ from fahp.reference import _DEN, _NUMERATORS
 ENTRIES = [[1.0, 2.0, 3.0], [0.5, 1.0, 2.0], [1.0 / 3.0, 0.5, 1.0]]
 
 
-@pytest.mark.parametrize("aggregate", ["mean", "sum"])
-def test_scores_fold_each_column(aggregate):
+def test_scores_fold_each_column():
     values = np.random.default_rng(5).uniform(0.0, 4.0, size=(7, 3))
     columns = values.T.tolist()
     w = reference_weights(ENTRIES)
     assert all(w)
     expected = []
     for c, column in enumerate(columns):
-        total = math.fsum(column)
-        expected.append(w[c] * (total / 7 if aggregate == "mean" else total))
-    scores = reference_scores(columns, ENTRIES, aggregate=aggregate)
+        expected.append(w[c] * (math.fsum(column) / 7))
+    scores = reference_scores(columns, ENTRIES)
     assert np.array(scores).tobytes() == np.array(expected).tobytes()
     # the pipeline hands over read-only column views of the rating matrix
     views = [memoryview(column) for column in values.T]
-    assert reference_scores(views, ENTRIES, aggregate=aggregate) == scores
+    assert reference_scores(views, ENTRIES) == scores
 
 
-def full_fold_scores(cells, entries, aggregate):
+def full_fold_scores(cells, entries):
     """The scores as the oracle computed them before it skipped zero-weight
-    columns: every column folded, then each fold times its weight."""
+    columns: every column's mean, then each mean times its weight."""
     w = reference_weights(entries)
-    folded = []
-    for column in cells:
-        total = math.fsum(column)
-        folded.append(total / len(column) if aggregate == "mean" else total)
+    folded = [math.fsum(column) / len(column) for column in cells]
     return [w[c] * folded[c] for c in range(len(cells))]
 
 
@@ -68,8 +63,7 @@ class Unreadable:
         raise AssertionError("a zero-weight column was read")
 
 
-@pytest.mark.parametrize("aggregate", ["mean", "sum"])
-def test_zero_weight_columns_are_never_read(dataset_path, aggregate):
+def test_zero_weight_columns_are_never_read(dataset_path):
     matrix = load_csv(dataset_path, row_ids=False)
     entries = build_comparison(column_means(matrix)).entries.tolist()
     w = reference_weights(entries)
@@ -77,8 +71,8 @@ def test_zero_weight_columns_are_never_read(dataset_path, aggregate):
     assert w.count(0.0) == 6
     columns = [memoryview(column) for column in matrix.values.T]
     guarded = [Unreadable() if wc == 0.0 else col for wc, col in zip(w, columns)]
-    scores = reference_scores(guarded, entries, aggregate=aggregate)
-    expected = full_fold_scores(columns, entries, aggregate)
+    scores = reference_scores(guarded, entries)
+    expected = full_fold_scores(columns, entries)
     assert np.array(scores).tobytes() == np.array(expected).tobytes()
 
 
@@ -87,10 +81,9 @@ def test_zero_weight_columns_are_never_read(dataset_path, aggregate):
     rows=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
     grid=st.booleans(),
-    aggregate=st.sampled_from(["mean", "sum"]),
 )
 @settings(max_examples=200, deadline=None)
-def test_scores_equal_the_full_fold(n, rows, seed, grid, aggregate):
+def test_scores_equal_the_full_fold(n, rows, seed, grid):
     rng = np.random.default_rng(seed)
     if grid:
         # quarter steps from 0 to 4 tie means and hold both bounds
@@ -99,15 +92,9 @@ def test_scores_equal_the_full_fold(n, rows, seed, grid, aggregate):
         values = rng.uniform(0.0, 4.0, size=(rows, n))
     entries = oracle.mean_gap(values.mean(axis=0).tolist())
     columns = values.T.tolist()
-    scores = reference_scores(columns, entries, aggregate=aggregate)
-    expected = full_fold_scores(columns, entries, aggregate)
+    scores = reference_scores(columns, entries)
+    expected = full_fold_scores(columns, entries)
     assert np.array(scores).tobytes() == np.array(expected).tobytes()
-
-
-def test_unknown_aggregate_is_refused():
-    columns = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
-    with pytest.raises(ValueError, match="median"):
-        reference_scores(columns, ENTRIES, aggregate="median")
 
 
 def loop_lookup(value, i, j):

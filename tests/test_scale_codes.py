@@ -34,10 +34,7 @@ COMMANDS = {
         "rank", "--out-json", "report.json", "--out-csv", "ranking.csv",
         "--out-svg", "scores.svg",
     ],
-    "rank-uniform-sum": [
-        "rank", "--derivation", "uniform", "--aggregate", "sum",
-        "--out-json", "uniform.json",
-    ],
+    "rank-uniform": ["rank", "--derivation", "uniform", "--out-json", "uniform.json"],
     "check": ["check"],
     **{
         f"dump-{stage}": ["dump", "--dump", stage]
