@@ -230,11 +230,8 @@ def cmd_rank(config: RunConfig, args: argparse.Namespace) -> int:
         lines.append(f"{row.rank:3d}  {row.label:<24}  {real:.4f}")
     lines.append(f"mse vs reference: {report.mse:.3e} (tolerance {config.mse_tol:g})")
     print("\n".join(lines))
-    if not result.validation.passed:
-        print(
-            "fahp: validation: mse exceeds the configured tolerance",
-            file=sys.stderr,
-        )
+    for failure in result.validation.failures:
+        print(f"fahp: validation: {failure}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -10,8 +10,9 @@ GateRejected unless the config forces continuation.
 
 build_comparison gives the comparison matrix as scale codes, one
 FuzzyComparisonMatrix that is checked once: the gate reads its crisp
-entries, fuzzify returns it as it is, and the validate stage hands the
-oracle its crisp array, which the oracle reads a row at a time.
+entries and fuzzify returns it as it is. The validate stage hands the
+oracle the column means and the rule, never the matrix, so the oracle
+re-derives the matrix, the weights and the scores from them.
 """
 
 from __future__ import annotations
@@ -81,9 +82,11 @@ class PipelineResult(Record):
     the weights and scores are read from the report.
 
     matrix.row_ids is None: no stage of the method reads the id column.
+    means are the column means the comparison matrix was derived from.
     """
 
     matrix: RatingMatrix
+    means: np.ndarray
     comparison: FuzzyComparisonMatrix
     consistency: ConsistencyReport | None = None
     report: RankingReport | None = None
@@ -128,8 +131,9 @@ def run_to_comparison(config: RunConfig) -> PipelineResult:
     read, since no stage of the method uses it."""
     matrix = _ingest(config)
     with _stage("comparison"):
-        comparison = build_comparison(column_means(matrix), rule=config.derivation)
-    return PipelineResult(matrix=matrix, comparison=comparison)
+        means = column_means(matrix)
+        comparison = build_comparison(means, rule=config.derivation)
+    return PipelineResult(matrix=matrix, means=means, comparison=comparison)
 
 
 def run_to_consistency(config: RunConfig) -> PipelineResult:
@@ -137,7 +141,7 @@ def run_to_consistency(config: RunConfig) -> PipelineResult:
     partial = run_to_comparison(config)
     with _stage("consistency"):
         report = check(partial.comparison, ir_mode=config.ir_mode)
-    return PipelineResult(partial.matrix, partial.comparison, report)
+    return PipelineResult(partial.matrix, partial.means, partial.comparison, report)
 
 
 def fuzzify_stage(comparison: FuzzyComparisonMatrix) -> FuzzyComparisonMatrix:
@@ -170,11 +174,12 @@ def run(config: RunConfig) -> PipelineResult:
         normalized_scores = score(normalized, weight_vector)
     with _stage("validate"):
         # column views, not lists: no Python float is held per cell
-        oracle = reference_scores(
-            [memoryview(column) for column in partial.matrix.values.T],
-            partial.comparison.entries,
+        columns = [memoryview(column) for column in partial.matrix.values.T]
+        oracle, folded = reference_scores(columns, partial.means, config.derivation)
+        record = validate(
+            partial.matrix.criteria, real_scores, oracle, partial.means, folded,
+            len(partial.matrix.values), config.mse_tol,
         )
-        record = validate(real_scores, oracle, tolerance=config.mse_tol)
     with _stage("rank"):
         report = build_report(
             real_scores,
@@ -185,5 +190,5 @@ def run(config: RunConfig) -> PipelineResult:
         )
 
     return PipelineResult(
-        partial.matrix, partial.comparison, partial.consistency, report, record
+        partial.matrix, partial.means, partial.comparison, partial.consistency, report, record
     )

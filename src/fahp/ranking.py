@@ -1,4 +1,4 @@
-"""Weighted scoring, rank assembly, and the mean-squared-error cross-check."""
+"""Weighted scoring, rank assembly, and the cross-check against the reference."""
 
 from __future__ import annotations
 
@@ -97,18 +97,47 @@ def mse(f: Sequence[float], y: Sequence[float]) -> float:
 
 
 class ValidationRecord(Record):
+    """The MSE, and one message per check that disagrees with the reference."""
+
     mse: float
-    passed: bool
+    failures: tuple[str, ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def validate(
-    scores: Sequence[float],
-    oracle_scores: Sequence[float],
-    tolerance: float = 1e-3,
+    labels: Sequence[str], scores: Sequence[float], oracle_scores: Sequence[float],
+    means: Sequence[float], folded: dict[int, float], rows: int, tolerance: float = 1e-3,
 ) -> ValidationRecord:
-    """Cross-check scores against an independent recomputation.
-
-    Both are ordered like the criteria.
-    """
+    """Cross-check a run against an independent recomputation, in the
+    labels' order: its MSE, its rank order (descending score, then label)
+    and its zero scores; and each mean the recomputation folded (folded,
+    correctly rounded over `rows` ratings) against the run's. The run adds
+    non-negative ratings in any order, within gamma = (rows - 1) u / (1 -
+    (rows - 1) u) of the exact sum (Higham, Accuracy and Stability of
+    Numerical Algorithms, eq. 4.4), and divides, so with the fold's own
+    rounding the two means are within (gamma + 3u) times the fold."""
     value = mse(scores, oracle_scores)
-    return ValidationRecord(mse=value, passed=value <= tolerance)
+    failures = [] if value <= tolerance else ["mse exceeds the configured tolerance"]
+    order = sorted(range(len(labels)), key=lambda c: (-scores[c], labels[c]))
+    expected = sorted(range(len(labels)), key=lambda c: (-oracle_scores[c], labels[c]))
+    if order != expected:
+        p = next(p for p, (a, b) in enumerate(zip(order, expected)) if a != b)
+        failures.append(
+            f"rank order differs from the reference at rank {p + 1}: "
+            f"{labels[order[p]]} here, {labels[expected[p]]} in the reference"
+        )
+    zeros = {c for c, s in enumerate(scores) if s == 0.0}
+    zeros ^= {c for c, s in enumerate(oracle_scores) if s == 0.0}
+    if zeros:
+        names = ", ".join(labels[c] for c in sorted(zeros))
+        failures.append(f"zero scores differ from the reference for {names}")
+    u = 2.0**-53
+    bound = (rows - 1) * u / (1 - (rows - 1) * u) + 3 * u
+    off = [labels[c] for c, fold in folded.items() if not abs(means[c] - fold) <= bound * fold]
+    if off:
+        names = ", ".join(off)
+        failures.append(f"means differ from the reference beyond summation error for {names}")
+    return ValidationRecord(mse=value, failures=tuple(failures))

@@ -29,6 +29,7 @@ from fahp import cli, pipeline
 from fahp.cli import EXIT_GATE_REJECTED, EXIT_INPUT_ERROR, EXIT_OK, main
 from fahp.consistency import DERIVATION_RULES
 from fahp.report import render_fuzzy_json, render_json, render_matrix_csv
+from fahp.tfn import MIRROR
 
 from conftest import ID_CELLS, NEEDS_DEV_FD, REPO_ROOT, piped
 
@@ -38,7 +39,9 @@ SMALL_SCHEMA = json.dumps(
     {"id_column": "ID", "criteria_columns": {"c1": "First", "c2": "Second"}}
 )
 
-TRIO_CSV = "ID,c1,c2,c3\nu1,1.0,2.0,3.0\nu2,2.0,3.0,4.0\n"
+# column means 1, 2 and 3: the mean-gap rule rates the pairs 5, 5 and 9,
+# and the standard gate rejects that matrix with CR = 0.10095
+TRIO_CSV = "ID,c1,c2,c3\nu1,0.5,1.5,2.5\nu2,1.5,2.5,3.5\n"
 
 TRIO_SCHEMA = json.dumps(
     {
@@ -64,27 +67,6 @@ def trio_inputs(tmp_path):
     schema_path = tmp_path / "trio_schema.json"
     schema_path.write_text(TRIO_SCHEMA, encoding="utf-8")
     return str(csv_path), str(schema_path)
-
-
-@pytest.fixture
-def cyclic_rule(monkeypatch):
-    # a 3-cycle of strong preferences is wildly inconsistent for n >= 3,
-    # so this rule makes the consistency gate reject on demand; a rule
-    # returns scale codes: 9 is code 8 and 1/9 code 16
-    def rule(means):
-        n = len(means)
-        codes = np.zeros((n, n), dtype=np.uint8)
-        for i in range(n):
-            for j in range(n):
-                step = (j - i) % 3
-                if i != j and step == 1:
-                    codes[i, j] = 8
-                elif i != j and step == 2:
-                    codes[i, j] = 16
-        return codes
-
-    monkeypatch.setitem(DERIVATION_RULES, "cyclic_test", rule)
-    return "cyclic_test"
 
 
 class TestRank:
@@ -325,14 +307,13 @@ class TestCheck:
         assert "cr: 0.0000" in out
         assert "accepted: true" in out
 
-    def test_rejection_exits_2(self, trio_inputs, cyclic_rule, capsys):
+    def test_rejection_exits_2(self, trio_inputs, capsys):
         csv_path, schema_path = trio_inputs
         code = main(
             [
                 "check",
                 "--input", csv_path,
                 "--schema", schema_path,
-                "--derivation", cyclic_rule,
             ]
         )
         assert code == EXIT_GATE_REJECTED
@@ -371,14 +352,13 @@ class TestCheck:
 
 
 class TestGate:
-    def test_rank_stops_at_rejected_gate(self, trio_inputs, cyclic_rule, capsys):
+    def test_rank_stops_at_rejected_gate(self, trio_inputs, capsys):
         csv_path, schema_path = trio_inputs
         code = main(
             [
                 "rank",
                 "--input", csv_path,
                 "--schema", schema_path,
-                "--derivation", cyclic_rule,
             ]
         )
         assert code == EXIT_GATE_REJECTED
@@ -387,21 +367,100 @@ class TestGate:
         assert "exceeds" in captured.err
         assert "mse" not in captured.out
 
-    def test_force_pushes_past_the_gate(self, trio_inputs, cyclic_rule, capsys):
+    def test_force_pushes_past_the_gate(self, trio_inputs, capsys):
         csv_path, schema_path = trio_inputs
         code = main(
             [
                 "rank",
                 "--input", csv_path,
                 "--schema", schema_path,
-                "--derivation", cyclic_rule,
                 "--force",
             ]
         )
         assert code == EXIT_OK
-        out = capsys.readouterr().out
-        assert "accepted = false" in out
-        assert "mse vs reference:" in out
+        captured = capsys.readouterr()
+        assert captured.out.startswith("consistency: cr = 0.1009, accepted = false\n")
+        assert "mse vs reference:" in captured.out
+        assert captured.err == ""
+
+
+SHIPPED = REPO_ROOT / "data" / "travel_reviews_surrogate.csv"
+
+
+def floored_mean_gap(means):
+    """The mean-gap rule with its bins floored instead of rounded half up."""
+    span = float(means.max()) - float(means.min())
+    steps = np.floor(8.0 * (means[:, None] - means[None, :]) / span)
+    direct = np.clip(steps, 0.0, 8.0).astype(np.uint8)
+    return direct + MIRROR.take(direct.T)
+
+
+class TestCrossCheck:
+    """The oracle re-derives the comparison from the means, so a defect
+    before the comparison stage prints `fahp: validation:` lines; the
+    report keeps its shape and the exit code stays 0."""
+
+    def rank(self, argv, tmp_path, capsys, criteria=10):
+        """The stderr lines of a rank that exits 0 with a full report."""
+        out_json = tmp_path / "report.json"
+        code = main(["rank", *argv, "--out-json", str(out_json)])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        # the gate line, one line per criterion, the mse line
+        assert len(captured.out.splitlines()) == criteria + 2
+        doc = json.loads(out_json.read_text(encoding="utf-8"))
+        assert list(doc) == ["consistency", "weights", "ranking", "mse", "config_echo"]
+        assert len(doc["ranking"]) == criteria
+        return captured.err.splitlines()
+
+    def test_floored_bins(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setitem(DERIVATION_RULES, "mean_gap", floored_mean_gap)
+        assert self.rank(["--input", str(SHIPPED)], tmp_path, capsys) == [
+            "fahp: validation: rank order differs from the reference at rank 5: "
+            "Restaurants here, Art Galleries in the reference",
+            "fahp: validation: zero scores differ from the reference for Restaurants",
+        ]
+
+    def test_medians_for_means(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(
+            pipeline, "column_means", lambda m: np.median(m.values, axis=0)
+        )
+        err = self.rank(["--input", str(SHIPPED)], tmp_path, capsys)
+        assert err == [
+            "fahp: validation: means differ from the reference beyond summation "
+            "error for Resorts, Parks/Picnic Spots, Beaches, Religious Institutions"
+        ]
+
+    def test_bin_edge_flip(self, tmp_path, capsys):
+        # the means are 5/6, 25/12, 13/6 and 19/12 as floats; for D against
+        # A, 8 * gap / span + 0.5 falls 4.2e-17 short of 5 in exact
+        # arithmetic (intensity 5), and the float rule lands on 5 (intensity 6)
+        rows = ["u1,1.25,4.0,0.25,0.25", "u2,0.25,1.0,3.0,3.25", "u3,1.0,1.25,3.25,1.25"]
+        csv_path = tmp_path / "edge.csv"
+        csv_path.write_text("\n".join(["ID,a,b,c,d", *rows]) + "\n", encoding="utf-8")
+        schema_path = tmp_path / "edge_schema.json"
+        labels = {c: c.upper() for c in "abcd"}
+        schema_path.write_text(
+            json.dumps({"id_column": "ID", "criteria_columns": labels}), encoding="utf-8"
+        )
+        argv = ["--input", str(csv_path), "--schema", str(schema_path)]
+        assert self.rank(argv, tmp_path, capsys, criteria=4) == [
+            "fahp: validation: mse exceeds the configured tolerance",
+            "fahp: validation: rank order differs from the reference at rank 3: "
+            "D here, A in the reference",
+            "fahp: validation: zero scores differ from the reference for D",
+        ]
+
+    def test_rule_without_a_reference_is_refused(self, monkeypatch, capsys):
+        monkeypatch.setitem(DERIVATION_RULES, "unchecked", DERIVATION_RULES["uniform"])
+        code = main(["rank", "--input", str(SHIPPED), "--derivation", "unchecked"])
+        assert code == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "fahp: validate: the reference has no derivation rule 'unchecked'; "
+            "it knows mean_gap, uniform\n"
+        )
 
 
 class TestInputErrors:
@@ -812,7 +871,7 @@ class TestDump:
         assert lines[0] == "label,l,m,u"
         assert len(lines) == 3
 
-    def test_gated_stages_run_forced(self, trio_inputs, cyclic_rule, capsys):
+    def test_gated_stages_run_forced(self, trio_inputs, capsys):
         # dumps exist for audit, so they must work on rejected matrices too
         csv_path, schema_path = trio_inputs
         code = main(
@@ -820,7 +879,6 @@ class TestDump:
                 "dump",
                 "--input", csv_path,
                 "--schema", schema_path,
-                "--derivation", cyclic_rule,
                 "--dump", "extents",
             ]
         )

@@ -18,7 +18,7 @@ from fahp import (
     synthetic_extents,
     weights,
 )
-from test_reference import loop_reference_weights
+from test_reference import exact_fuzzy, loop_weights
 
 
 def draw_means(seed, n, tied):
@@ -54,16 +54,28 @@ def test_mean_gap_matrix_and_weights_match_the_oracle(n, tied):
         library = weights(synthetic_extents(fuzzify(comparison))).weights
         reference = np.array(oracle.weights_from_crisp(expected))
         assert np.max(np.abs(library - reference)) <= 1e-10
-        # the oracle behind the report's mse, on the same matrix
-        built_in = np.array(reference_weights(expected))
-        assert np.max(np.abs(built_in - reference)) <= 1e-10
+        # the oracle behind the report's mse bins the same means exactly:
+        # means rounded to 0.1 put some gaps on a bin edge in decimal, and
+        # there the float rule above may round the other way
+        built_in = reference_weights(means, "mean_gap")
+        exact = loop_weights(exact_fuzzy(means, "mean_gap"))
+        assert np.array(built_in).tobytes() == np.array(exact).tobytes()
 
 
 @pytest.mark.parametrize("tied", [False, True], ids=["random", "tied"])
-@pytest.mark.parametrize("n", [200, 500])
+@pytest.mark.parametrize("n", [20, 50, 200, 500])
 def test_built_in_oracle_matches_the_per_entry_loop(n, tied):
     # the property stops at 60 criteria; here each row counts hundreds of
-    # cells, and the per-entry loop sums them one float at a time
-    entries = oracle.mean_gap(draw_means(7000 + n, n, tied))
-    expected = loop_reference_weights(entries)
-    assert np.array(reference_weights(entries)).tobytes() == np.array(expected).tobytes()
+    # cells, and the per-entry loop over the main path's fuzzy matrix sums
+    # them one float at a time. These means sit on no bin edge, so the
+    # oracle's exact bins are the main path's and the weights agree to the
+    # bit; the main path's own weights, summed left to right, to the last
+    # bits, with the same zeros
+    means = draw_means(7000 + n, n, tied)
+    comparison = build_comparison(means)
+    expected = loop_weights(comparison.values.tolist())
+    got = reference_weights(means, "mean_gap")
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    main_path = weights(synthetic_extents(comparison)).weights
+    assert np.max(np.abs(main_path - got)) <= 1e-15
+    assert [w == 0.0 for w in main_path.tolist()] == [w == 0.0 for w in got]

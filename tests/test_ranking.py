@@ -1,5 +1,7 @@
 """Scoring, rank assembly, MSE, and the validation record."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,19 +236,90 @@ class TestReportAndValidate:
         assert report.mse == 0.25
 
     def test_validate_identical(self):
-        record = validate(TOY_SCORES, [0.5, 0.3, 0.2], tolerance=1e-3)
+        record = toy_validate([0.5, 0.3, 0.2])
         assert record.mse == 0.0
         assert record.passed
+        assert record.failures == ()
 
     def test_validate_small_perturbation_passes(self):
         scores = tuple(np.linspace(1.0, 0.1, 10))
         oracle = list(scores)
         oracle[4] += 0.01
-        record = validate(np.array(scores), oracle, tolerance=1e-3)
+        labels = [f"C{c}" for c in range(10)]
+        record = validate(labels, np.array(scores), oracle, [1.0] * 10, {}, 1, tolerance=1e-3)
         assert record.mse == pytest.approx(1e-5, rel=1e-9)
         assert record.passed
 
     def test_validate_wrong_weights_fail(self):
-        record = validate(TOY_SCORES, [1.0, 0.3, 0.2], tolerance=1e-3)
+        record = toy_validate([1.0, 0.3, 0.2])
         assert not record.passed
         assert record.mse > 1e-3
+        assert record.failures == ("mse exceeds the configured tolerance",)
+
+
+def toy_validate(oracle, means=(1.0, 1.0, 1.0), folded=None, rows=1):
+    return validate(
+        ("A", "B", "C"), TOY_SCORES, oracle, means, folded or {}, rows, tolerance=1e-3
+    )
+
+
+def abc_validate(scores, oracle):
+    return validate(("A", "B", "C"), np.array(scores), oracle, [1.0] * 3, {}, 1)
+
+
+class TestValidationChecks:
+    """Each disagreement gives one message; agreement gives none."""
+
+    def test_rank_order(self):
+        record = abc_validate([0.5, 0.3, 0.29], [0.5, 0.29, 0.3])
+        assert record.failures == (
+            "rank order differs from the reference at rank 2: B here, C in the reference",
+        )
+
+    def test_ties_order_by_label(self):
+        # B and C tie in the reference; by label B comes first, as here
+        assert abc_validate([0.5, 0.25 + 1e-9, 0.25], [0.5, 0.25, 0.25]).failures == ()
+
+    def test_zero_set(self):
+        record = abc_validate([0.5, 0.0, 0.0], [0.5, 1e-30, 0.0])
+        assert record.failures == ("zero scores differ from the reference for B",)
+
+    def test_zero_set_and_order_each_give_a_line(self):
+        record = abc_validate([0.5, 0.0, 0.01], [0.5, 0.01, 0.0])
+        assert record.failures == (
+            "rank order differs from the reference at rank 2: C here, B in the reference",
+            "zero scores differ from the reference for B, C",
+        )
+
+    def test_mean_within_rounding_passes(self):
+        # one row: the handed mean is the rating itself, 3 ulps of room
+        fold = 1.0 + 2**-52
+        near = np.nextafter(fold, 2.0)
+        assert toy_validate([0.5, 0.3, 0.2], (near, 1.0, 1.0), {0: fold}).failures == ()
+
+    def test_mean_beyond_rounding_fails(self):
+        fold = 1.0 + 2**-52
+        far = fold + 4 * 2**-52
+        record = toy_validate([0.5, 0.3, 0.2], (far, 1.0, 9.0), {0: fold, 2: 1.0})
+        assert record.failures == (
+            "means differ from the reference beyond summation error for A, C",
+        )
+
+    def test_unfolded_columns_are_not_checked(self):
+        assert toy_validate([0.5, 0.3, 0.2], (1.0, 7.0, 1.0), {0: 1.0}).failures == ()
+
+    @given(
+        rows=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        grid=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_numpy_means_stay_within_the_bound(self, rows, seed, grid):
+        rng = np.random.default_rng(seed)
+        if grid:
+            values = rng.integers(0, 17, size=(rows, 3)) / 4
+        else:
+            values = rng.uniform(0.0, 4.0, size=(rows, 3))
+        folded = {c: math.fsum(column) / rows for c, column in enumerate(values.T.tolist())}
+        record = toy_validate([0.5, 0.3, 0.2], values.mean(axis=0), folded, rows)
+        assert record.failures == ()

@@ -1,12 +1,13 @@
-"""The built-in oracle: one sequence per criterion column in, fsum folds out
-(none for a zero-weight column); its weight chain against the plain
-per-entry loop; its exact row sums against fsum; its imports."""
+"""The built-in oracle: column means and a rule in, weights out; one
+sequence per criterion column in, fsum folds out (none for a zero-weight
+column); its weight chain against plain per-entry loops; its exact row
+sums against fsum; its imports."""
 
 import ast
 import itertools
 import math
+import sys
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,39 +17,43 @@ from hypothesis import strategies as st
 import oracle
 from conftest import REPO_ROOT
 from fahp import (
-    NonScaleEntry,
+    DatasetSchema,
     build_comparison,
     column_means,
-    fuzzify,
     load_csv,
     reference_scores,
     reference_weights,
+    synthetic_extents,
+    weights,
 )
-from fahp.reference import _DEN, _NUMERATORS
+from fahp.consistency import DERIVATION_RULES
+from fahp.reference import _DEN, _NUMERATORS, _RULES
 
-# mild preferences, so every criterion keeps a non-zero weight
-ENTRIES = [[1.0, 2.0, 3.0], [0.5, 1.0, 2.0], [1.0 / 3.0, 0.5, 1.0]]
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from perfbench.inputs import write_inputs  # noqa: E402
 
 
 def test_scores_fold_each_column():
     values = np.random.default_rng(5).uniform(0.0, 4.0, size=(7, 3))
     columns = values.T.tolist()
-    w = reference_weights(ENTRIES)
+    means = values.mean(axis=0)
+    w = reference_weights(means, "uniform")
     assert all(w)
-    expected = []
-    for c, column in enumerate(columns):
-        expected.append(w[c] * (math.fsum(column) / 7))
-    scores = reference_scores(columns, ENTRIES)
+    expected = [w[c] * (math.fsum(column) / 7) for c, column in enumerate(columns)]
+    scores, folded = reference_scores(columns, means, "uniform")
     assert np.array(scores).tobytes() == np.array(expected).tobytes()
+    assert folded == {c: math.fsum(column) / 7 for c, column in enumerate(columns)}
     # the pipeline hands over read-only column views of the rating matrix
     views = [memoryview(column) for column in values.T]
-    assert reference_scores(views, ENTRIES) == scores
+    assert reference_scores(views, means, "uniform") == (scores, folded)
 
 
-def full_fold_scores(cells, entries):
+def full_fold_scores(cells, means, rule):
     """The scores as the oracle computed them before it skipped zero-weight
     columns: every column's mean, then each mean times its weight."""
-    w = reference_weights(entries)
+    w = reference_weights(means, rule)
     folded = [math.fsum(column) / len(column) for column in cells]
     return [w[c] * folded[c] for c in range(len(cells))]
 
@@ -65,15 +70,16 @@ class Unreadable:
 
 def test_zero_weight_columns_are_never_read(dataset_path):
     matrix = load_csv(dataset_path, row_ids=False)
-    entries = build_comparison(column_means(matrix)).entries.tolist()
-    w = reference_weights(entries)
+    means = column_means(matrix)
+    w = reference_weights(means, "mean_gap")
     # the shipped dataset's dominated criteria
     assert w.count(0.0) == 6
     columns = [memoryview(column) for column in matrix.values.T]
     guarded = [Unreadable() if wc == 0.0 else col for wc, col in zip(w, columns)]
-    scores = reference_scores(guarded, entries)
-    expected = full_fold_scores(columns, entries)
+    scores, folded = reference_scores(guarded, means, "mean_gap")
+    expected = full_fold_scores(columns, means, "mean_gap")
     assert np.array(scores).tobytes() == np.array(expected).tobytes()
+    assert sorted(folded) == [c for c, wc in enumerate(w) if wc != 0.0]
 
 
 @given(
@@ -90,44 +96,17 @@ def test_scores_equal_the_full_fold(n, rows, seed, grid):
         values = rng.integers(0, 17, size=(rows, n)) / 4
     else:
         values = rng.uniform(0.0, 4.0, size=(rows, n))
-    entries = oracle.mean_gap(values.mean(axis=0).tolist())
+    means = values.mean(axis=0)
     columns = values.T.tolist()
-    scores = reference_scores(columns, entries)
-    expected = full_fold_scores(columns, entries)
+    scores, _ = reference_scores(columns, means, "mean_gap")
+    expected = full_fold_scores(columns, means, "mean_gap")
     assert np.array(scores).tobytes() == np.array(expected).tobytes()
 
 
-def loop_lookup(value, i, j):
-    """The entry's scale row, read off the Fraction scale of tests/oracle.py."""
-    if value >= 1.0:
-        if value == math.inf:
-            raise NonScaleEntry(i, j, value)
-        k = int(round(value))
-        if k in oracle.SCALE and abs(value - k) <= 1e-9:
-            return oracle.scale_real(k)
-        raise NonScaleEntry(i, j, value)
-    if value > 0.0:
-        k = int(round(1.0 / value))
-        if k in oracle.SCALE and abs(value - 1.0 / k) <= 1e-9:
-            return oracle.scale_inverse(k)
-    raise NonScaleEntry(i, j, value)
-
-
-def loop_reference_weights(comparison_entries):
-    """The weight chain as a plain loop: one scale lookup per entry, the
-    full fuzzy matrix kept, every pair visited in the degree loop."""
-    n = len(comparison_entries)
-
-    fuzzy = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append((1.0, 1.0, 1.0))
-            else:
-                row.append(loop_lookup(float(comparison_entries[i][j]), i, j))
-        fuzzy.append(row)
-
+def loop_weights(fuzzy):
+    """The weight chain as a plain loop over an n x n nested list of
+    (l, m, u) cells: fsum row sums, every pair visited in the degree loop."""
+    n = len(fuzzy)
     row_sums = []
     for i in range(n):
         l = math.fsum(fuzzy[i][j][0] for j in range(n))
@@ -160,48 +139,84 @@ def loop_reference_weights(comparison_entries):
     return [d / total for d in degrees]
 
 
-# entries the scale never matches, and entries 1e-10 either side of a match
-OFF_SCALE = [2.5, 0.4, 10.0, 0.1, 0.0, -0.0, -3.0, float("nan"), 9.0 + 2e-9, 1 / 3 - 2e-9]
-NEAR = [3.0 + 1e-10, 3.0 - 1e-10, 0.5 + 1e-10, 0.5 - 1e-10, 1 / 9 + 1e-10, 9.0 - 1e-10]
+def exact_fuzzy(means, rule):
+    """Each cell's scale row, read off the Fraction scale of tests/oracle.py,
+    with the mean-gap intensity binned in exact rational arithmetic."""
+    exact = [Fraction(float(mean)) for mean in means]
+    span = max(exact) - min(exact)
+    fuzzy = []
+    for mean_i in exact:
+        row = []
+        for mean_j in exact:
+            gap = mean_i - mean_j
+            k = 1
+            if rule == "mean_gap" and span:
+                k = min(9, 1 + math.floor(8 * abs(gap) / span + Fraction(1, 2)))
+            row.append(oracle.scale_real(k) if gap >= 0 else oracle.scale_inverse(k))
+        fuzzy.append(row)
+    return fuzzy
 
 
 @st.composite
-def saaty_matrices(draw):
+def mean_vectors(draw):
     n = draw(st.integers(2, 60))
-    # the cells come from a seeded generator: hypothesis draws per cell
-    # would cost more than both oracles together
+    # the means come from a seeded generator: hypothesis draws per mean
+    # would cost more than both loops together
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        # mean-gap matrices; a small pool of means ties many criteria
+    kind = draw(st.sampled_from(["uniform", "pool", "grid"]))
+    if kind == "uniform":
+        return rng.uniform(0.0, 4.0, size=n).tolist()
+    if kind == "pool":
+        # a small pool of means ties many criteria
         pool = rng.uniform(0.0, 4.0, size=draw(st.integers(1, n)))
-        entries = oracle.mean_gap(rng.choice(pool, size=n).tolist())
-    else:
-        entries = [[1.0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                k = int(rng.integers(1, 10))
-                entries[i][j], entries[j][i] = float(k), 1.0 / k
-    for _ in range(draw(st.integers(0, 3))):
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        entries[i][j] = draw(st.sampled_from(OFF_SCALE + NEAR))
-    if draw(st.booleans()):
-        entries = np.array(entries)
-    return entries
+        return rng.choice(pool, size=n).tolist()
+    # means of quarter-step ratings, whose gaps can land on a bin edge
+    rows = draw(st.integers(1, 30))
+    return (rng.integers(0, 17, size=(rows, n)) / 4).mean(axis=0).tolist()
 
 
-@given(entries=saaty_matrices())
+@given(means=mean_vectors(), rule=st.sampled_from(sorted(DERIVATION_RULES)))
 @settings(max_examples=300, deadline=None)
-def test_weights_match_the_per_entry_loop(entries):
-    try:
-        expected = loop_reference_weights(entries)
-    except NonScaleEntry as err:
-        with pytest.raises(NonScaleEntry) as got:
-            reference_weights(entries)
-        assert (got.value.i, got.value.j) == (err.i, err.j)
-        assert np.float64(got.value.value).tobytes() == np.float64(err.value).tobytes()
-        return
-    weights = reference_weights(entries)
-    assert np.array(weights).tobytes() == np.array(expected).tobytes()
+def test_weights_match_the_per_entry_loop(means, rule):
+    expected = loop_weights(exact_fuzzy(means, rule))
+    got = reference_weights(means, rule)
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("workload", ["paper", "tall", "wide"])
+def test_weights_equal_the_main_paths(workload, tmp_path):
+    """On the benchmark inputs the oracle's bins are the main path's, so
+    its weights are those of a plain loop over the main path's fuzzy
+    matrix, to the bit. The main path's own weights add each row left to
+    right, not exactly, so they may differ from those in the last bits,
+    never in which weights are 0."""
+    inputs = write_inputs(workload, REPO_ROOT, tmp_path, 7)
+    schema = None
+    if "--schema" in inputs.flags:
+        schema = DatasetSchema.from_json(str(tmp_path / "schema.json"))
+    means = column_means(load_csv(str(tmp_path / "ratings.csv"), schema))
+    comparison = build_comparison(means)
+    got = reference_weights(means, "mean_gap")
+    expected = loop_weights(comparison.values.tolist())
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    main_path = weights(synthetic_extents(comparison)).weights
+    assert np.max(np.abs(main_path - got)) <= 1e-15
+    assert [w == 0.0 for w in main_path.tolist()] == [w == 0.0 for w in got]
+
+
+def test_every_rule_has_a_reference():
+    assert sorted(_RULES) == sorted(DERIVATION_RULES)
+
+
+def test_unknown_rule_is_refused():
+    with pytest.raises(ValueError, match="no derivation rule 'median_gap'"):
+        reference_weights([1.0, 2.0, 3.0], "median_gap")
+
+
+def test_equal_means_weigh_alike():
+    # no span: every pair rates 1 under either rule
+    for rule in _RULES:
+        assert reference_weights([2.5] * 4, rule) == [0.25] * 4
 
 
 @given(data=st.data())
@@ -223,103 +238,6 @@ def test_integer_row_sums_equal_fsum(data):
         exact = sum(count * nums[c] for nums, count in zip(numerators, counts)) / _DEN
         cells = itertools.chain.from_iterable([row[c]] * count for row, count in zip(rows, counts))
         assert np.float64(exact).tobytes() == np.float64(math.fsum(cells)).tobytes()
-
-
-@pytest.mark.parametrize(
-    "value", [float("inf"), -float("inf"), 1e-320, 5e-324], ids=["inf", "-inf", "1e-320", "5e-324"]
-)
-def test_infinite_entry_or_reciprocal_is_off_scale(value):
-    entries = [[1.0, 2.0, 3.0], [0.5, 1.0, value], [1 / 3, 2.0, 1.0]]
-    with pytest.raises(NonScaleEntry) as err:
-        reference_weights(entries)
-    assert (err.value.i, err.value.j, err.value.value) == (1, 2, value)
-    # the library path names the same entry
-    with pytest.raises(NonScaleEntry) as lib:
-        fuzzify(SimpleNamespace(entries=np.array(entries)))
-    assert (lib.value.i, lib.value.j, lib.value.value) == (1, 2, value)
-
-
-NAN, INF = float("nan"), float("inf")
-
-
-@pytest.mark.parametrize(
-    "row, j",
-    [
-        ([1.0, 8.0, NAN], 2),
-        ([1.0, 8.0, NAN, 8.0], 2),
-        ([2.0, 2.0, 1.0, NAN, 2.0, 2.0, 2.0], 3),
-        ([0.5, NAN, 0.5, 1.0, 0.5, NAN, 0.5], 1),
-        ([2.0, 2.5, 1.0, 2.0, NAN, 2.0, 2.0], 1),
-        ([2.0, INF, 2.0, 1.0, -INF, 2.0, 2.0], 1),
-        ([2.0, -INF, 1.0, 2.0, INF, 2.0, 2.0], 1),
-        ([0.5, 0.5, 0.5, 1.0, INF, 0.5, -INF], 4),
-    ],
-    ids=[
-        "nan-last", "nan-between-equals", "nan-in-a-run", "two-nans",
-        "earlier-off-scale", "inf-then-minus-inf", "minus-inf-then-inf", "infs-after-a-run",
-    ],
-)
-@pytest.mark.parametrize("as_array", [False, True], ids=["lists", "array"])
-def test_entry_that_sorts_inside_a_run_is_named(row, j, as_array):
-    # a NaN breaks the sort's order, so it could hide inside a run of
-    # equal entries; +inf and -inf sort to the ends; each is named where
-    # a per-entry loop meets it first
-    n = len(row)
-    i = row.index(1.0)
-    entries = [[1.0] * n for _ in range(n)]
-    entries[i] = row
-    if as_array:
-        entries = np.array(entries)
-    with pytest.raises(NonScaleEntry) as want:
-        loop_reference_weights(entries)
-    with pytest.raises(NonScaleEntry) as got:
-        reference_weights(entries)
-    assert (got.value.i, got.value.j) == (want.value.i, want.value.j) == (i, j)
-    assert np.float64(got.value.value).tobytes() == np.float64(want.value.value).tobytes()
-
-
-def test_first_off_scale_entry_is_named_after_earlier_matches():
-    # 2.5 is met first at (0, 2); the earlier 2.0 was matched and remembered
-    entries = [[1.0, 2.0, 2.5], [0.5, 1.0, 2.5], [0.4, 0.4, 1.0]]
-    with pytest.raises(NonScaleEntry) as err:
-        reference_weights(entries)
-    assert (err.value.i, err.value.j, err.value.value) == (0, 2, 2.5)
-
-
-@pytest.mark.parametrize("first", [-0.0, 0.0], ids=["minus-zero-first", "zero-first"])
-def test_signed_zeros_name_the_first_with_its_sign(first):
-    # -0.0 == 0.0, so the row's counts hold the two under one key
-    entries = [
-        [1.0, 2.0, first, -first],
-        [0.5, 1.0, 2.0, 2.0],
-        [2.0, 0.5, 1.0, 2.0],
-        [2.0, 0.5, 0.5, 1.0],
-    ]
-    with pytest.raises(NonScaleEntry) as err:
-        reference_weights(entries)
-    assert (err.value.i, err.value.j) == (0, 2)
-    assert np.float64(err.value.value).tobytes() == np.float64(first).tobytes()
-
-
-def test_repeated_off_scale_entry_is_named_at_its_first_column():
-    # 2.5 sits on row 1's diagonal first, then at (1, 2) and (1, 3)
-    entries = [
-        [1.0, 2.0, 0.5, 0.5],
-        [0.5, 2.5, 2.5, 2.5],
-        [2.0, 0.4, 1.0, 2.0],
-        [2.0, 0.4, 0.5, 1.0],
-    ]
-    with pytest.raises(NonScaleEntry) as err:
-        reference_weights(entries)
-    assert (err.value.i, err.value.j, err.value.value) == (1, 2, 2.5)
-
-
-def test_diagonal_is_never_looked_up():
-    entries = [[float("nan"), 2.0], [0.5, 0.0]]
-    expected = reference_weights([[1.0, 2.0], [0.5, 1.0]])
-    assert reference_weights(entries) == expected
-    # each cell read from a numpy row is a new float64 object, and NaN != NaN
-    assert reference_weights(np.array(entries)) == expected
 
 
 # the second oracle recomputes the weights without the library's kernels;

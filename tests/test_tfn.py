@@ -1,5 +1,7 @@
 """TFN arithmetic, the comparative scale, and fuzzification."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,19 @@ class TestFuzzify:
         with pytest.raises(NonScaleEntry) as err:
             fuzzify(ComparisonMatrix(entries=entries))
         assert (err.value.i, err.value.j, err.value.value) == (1, 3, 1 / 6.5)
+
+    @pytest.mark.parametrize(
+        "value",
+        [float("inf"), -float("inf"), float("nan"), 1e-320, 5e-324],
+        ids=["inf", "-inf", "nan", "1e-320", "5e-324"],
+    )
+    def test_non_finite_entry_or_overflowing_reciprocal_is_named(self, value):
+        # no ComparisonMatrix holds these; a duck-typed matrix reaches the matcher
+        entries = np.array([[1.0, 2.0, 3.0], [0.5, 1.0, value], [1 / 3, 2.0, 1.0]])
+        with pytest.raises(NonScaleEntry) as err:
+            fuzzify(SimpleNamespace(entries=entries))
+        assert (err.value.i, err.value.j) == (1, 2)
+        assert np.float64(err.value.value).tobytes() == np.float64(value).tobytes()
 
     def test_off_scale_reciprocal_rejected(self):
         c = ComparisonMatrix(entries=np.array([[1.0, 1 / 2.5], [2.5, 1.0]]))
