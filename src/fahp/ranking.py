@@ -112,13 +112,13 @@ def validate(
     means: Sequence[float], folded: dict[int, float], rows: int, tolerance: float = 1e-3,
 ) -> ValidationRecord:
     """Cross-check a run against an independent recomputation, in the
-    labels' order: its MSE, its rank order (descending score, then label)
-    and its zero scores; and each mean the recomputation folded (folded,
-    correctly rounded over `rows` ratings) against the run's. The run adds
+    labels' order: the MSE, the rank order (descending score, then label),
+    the zero scores, and the run's means against those the recomputation
+    folded, correctly rounded over `rows` ratings. The run adds the
     non-negative ratings in any order, within gamma = (rows - 1) u / (1 -
     (rows - 1) u) of the exact sum (Higham, Accuracy and Stability of
-    Numerical Algorithms, eq. 4.4), and divides, so with the fold's own
-    rounding the two means are within (gamma + 3u) times the fold."""
+    Numerical Algorithms, 2nd ed., section 4.2), and divides, so with the
+    fold's own rounding the two means are within (gamma + 3u) of the fold."""
     value = mse(scores, oracle_scores)
     failures = [] if value <= tolerance else ["mse exceeds the configured tolerance"]
     order = sorted(range(len(labels)), key=lambda c: (-scores[c], labels[c]))
