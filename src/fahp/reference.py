@@ -78,34 +78,34 @@ def reference_weights(means: Sequence[float], rule: str) -> list[float]:
     """Column means and a derivation rule to normalized weights, one loop
     at a time; ValueError for a rule the reference does not know.
 
-    The degree loop sorts the extents by modal value once. For extent i,
-    `bisect_right` gives the suffix with m_k > m_i; every other pair has
-    V = 1. When the largest lower bound in that suffix reaches u_i, some
-    pair is disjoint and the degree is 0; otherwise the minimum is taken
-    over V for each pair of the suffix."""
+    A degree is the least V(S_i >= S_k) over the k with m_k > m_i (every
+    other V is 1): 0 once l_k >= u_i, else (u_i - l_k) / ((u_i - l_k) +
+    (m_k - m_i)), which falls as l_k or m_k rises. From the largest modal
+    value down, the stair keeps each extent whose lower bound tops every
+    one kept before it. A dropped k has a kept k' with m_k' >= m_k and
+    l_k' >= l_k, so k' is a candidate and disjoint whenever k is, and its
+    V is no larger: the stair's minimum is the minimum. The bounds are
+    row sums on the scale's lattice over one total each, so two unequal V
+    differ by far more than their rounding."""
     row_sums = _row_sums(means, rule)
-    n = len(row_sums)
     total_l, total_m, total_u = map(math.fsum, zip(*row_sums))
     extents = [(l / total_u, m / total_m, u / total_l) for l, m, u in row_sums]
 
-    by_modal = sorted(extents, key=lambda extent: extent[1])
-    modals = [m for _, m, _ in by_modal]
-    # top_lower[s]: the largest lower bound among by_modal[s:]
-    top_lower = [-math.inf] * (n + 1)
-    for s in range(n - 1, -1, -1):
-        top_lower[s] = max(top_lower[s + 1], by_modal[s][0])
+    stair = []
+    for extent in sorted(extents, key=lambda extent: extent[1], reverse=True):
+        if not stair or extent[0] > stair[-1][0]:
+            stair.append(extent)
 
     degrees = []
     for l_i, m_i, u_i in extents:
-        # V(S_i >= S_k) = 1 when m_k <= m_i, k == i included; the rest
-        # have m_k > m_i and start here
-        start = bisect_right(modals, m_i)
-        if top_lower[start] >= u_i:
-            # a disjoint pair: V = 0, the least a degree can be
-            degrees.append(0.0)
-            continue
         best = 1.0
-        for l_k, m_k, _ in by_modal[start:]:
+        for l_k, m_k, _ in stair:
+            if m_k <= m_i:
+                break
+            if l_k >= u_i:
+                # a disjoint pair: V = 0, the least a degree can be
+                best = 0.0
+                break
             v = (l_k - u_i) / ((m_i - u_i) - (m_k - l_k))
             if v < best:
                 best = v

@@ -103,9 +103,10 @@ def test_scores_equal_the_full_fold(n, rows, seed, grid):
     assert np.array(scores).tobytes() == np.array(expected).tobytes()
 
 
-def loop_weights(fuzzy):
+def loop_weights(fuzzy, rivals=None):
     """The weight chain as a plain loop over an n x n nested list of
-    (l, m, u) cells: fsum row sums, every pair visited in the degree loop."""
+    (l, m, u) cells: fsum row sums, every pair visited in the degree loop,
+    or only the pairs with a k in rivals when it is given."""
     n = len(fuzzy)
     row_sums = []
     for i in range(n):
@@ -121,7 +122,7 @@ def loop_weights(fuzzy):
     degrees = []
     for i in range(n):
         best = 1.0
-        for k in range(n):
+        for k in range(n) if rivals is None else rivals:
             if k == i:
                 continue
             s_i, s_k = extents[i], extents[k]
@@ -181,6 +182,23 @@ def test_weights_match_the_per_entry_loop(means, rule):
     expected = loop_weights(exact_fuzzy(means, rule))
     got = reference_weights(means, rule)
     assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+def test_weights_reach_past_the_first_stair_step():
+    """Quarter-step ratings, 29 rows of 25 criteria: under the mean-gap
+    rule the staircase of undominated extents holds two, and four degrees
+    take their minimum from the second. V against the extent with the
+    largest modal value alone weighs the criteria otherwise."""
+    rng = np.random.default_rng(201)
+    n = rng.integers(2, 80)
+    means = (rng.integers(0, 17, size=(rng.integers(1, 30), n)) / 4).mean(axis=0)
+    assert n == 25
+    for rule in sorted(DERIVATION_RULES):
+        expected = loop_weights(exact_fuzzy(means, rule))
+        assert np.array(reference_weights(means, rule)).tobytes() == np.array(expected).tobytes()
+    fuzzy = exact_fuzzy(means, "mean_gap")
+    top = max(range(n), key=lambda i: math.fsum(cell[1] for cell in fuzzy[i]))
+    assert loop_weights(fuzzy, rivals=[top]) != reference_weights(means, "mean_gap")
 
 
 @pytest.mark.parametrize("workload", ["paper", "tall", "wide"])
