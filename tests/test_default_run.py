@@ -4,12 +4,16 @@ Its weights, its six zero weights, its order and its consistency figures
 are the README's claim, so they are checked here as the report writes
 them, and the gate's three figures to the bit. The tall benchmark input
 (50 shuffled copies of the same rows) has the same column means, so it
-must give the same two sections.
+must give the same two sections. The default `check` and the four dumps
+of the shipped dataset are pinned too: `check` by its stdout, each dump
+by the byte count and sha256 of what it writes to stdout.
 """
 
+import hashlib
 import json
 import sys
 
+import pytest
 from conftest import REPO_ROOT
 from fahp.cli import EXIT_OK, main
 
@@ -61,6 +65,23 @@ consistency: cr = 0.0253, accepted = true
 mse vs reference: 3.586e-31 (tolerance 0.001)
 """
 
+CHECK_STDOUT = """\
+lambda_max: 10.3388
+n: 10
+ci: 0.0376
+ir: 1.4900
+cr: 0.0253
+accepted: true
+"""
+
+# stage -> (bytes, sha256) of the dump written to stdout
+DUMPS = {
+    "comparison": (877, "14bf9858cef895b86cbbfe3f99831fd8c966fc361a332dbbb17dbcd6bc959ad6"),
+    "fuzzy": (6726, "641dd0c4576eae017d203a39965e9b73e6d49e5408dac00b3fd5d9fad02b08f0"),
+    "extents": (734, "70f8dafbb59a82e70644dc47711dc6d8b30cb61faca714264f7f45ed20156e4d"),
+    "normalized": (160312, "562016fa7bae0bb0fe3e11a79fe0cdd9a9a4b5d34c9f66c560bb8425b21a4aec"),
+}
+
 
 def rank_report(csv_path, out_json, capsys):
     """Exit code, stdout, stderr and the JSON report of a default rank."""
@@ -92,3 +113,22 @@ def test_tall_input_gives_the_same_sections(tmp_path, capsys):
     assert err == ""
     assert doc["weights"] == WEIGHTS
     assert doc["ranking"] == RANKING
+
+
+def test_default_check_of_the_shipped_dataset(capsys):
+    code = main(["check", "--input", str(SHIPPED)])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert captured.err == ""
+    assert captured.out == CHECK_STDOUT
+    assert len(captured.out.encode("utf-8")) == 74
+
+
+@pytest.mark.parametrize("stage", sorted(DUMPS))
+def test_default_dump_of_the_shipped_dataset(stage, capsys):
+    code = main(["dump", "--input", str(SHIPPED), "--dump", stage])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert captured.err == ""
+    data = captured.out.encode("utf-8")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == DUMPS[stage]
