@@ -92,16 +92,10 @@ def _mean_gap_rule(means: np.ndarray) -> np.ndarray:
     if span == math.inf:
         # the extreme gaps would be inf / inf, which no intensity stands for
         raise ValueError("comparison entries must be finite")
-    # floor(8 * gap / span + 0.5) in place: intensity - 1 where
-    # mu_i >= mu_j, never above 0 where mu_i < mu_j, so clamped to 0 there
-    steps = means[:, None] - means[None, :]
-    steps *= 8.0
-    steps /= span
-    steps += 0.5
-    np.floor(steps, out=steps)
-    np.maximum(steps, 0.0, out=steps)
-    np.minimum(steps, 8.0, out=steps)
-    direct = steps.astype(np.uint8)
+    # floor(8 * gap / span + 0.5) is intensity - 1 where mu_i >= mu_j and
+    # never above 0 where mu_i < mu_j, so the clip sets 0 there
+    steps = np.floor((means[:, None] - means[None, :]) * 8.0 / span + 0.5)
+    direct = np.clip(steps, 0.0, 8.0).astype(np.uint8)
     # at most one side of a pair is above 0, and the other side holds its
     # mirror: code k + 7, 1 / k, across from code k - 1 >= 1
     return direct + MIRROR.take(direct.T)
@@ -156,13 +150,10 @@ def lambda_max(c: ComparisonMatrix | FuzzyComparisonMatrix) -> float:
     products are math.fsum sums, so the bits are the same on every host.
     """
     a = c.entries
-    products = np.empty_like(a)
-    w = np.empty(c.n)
     v = np.ones(c.n)
     previous = None
     for _ in range(POWER_ITERATION_CAP):
-        np.multiply(a, v, out=products)
-        np.add.reduce(products, axis=1, out=w)
+        w = np.add.reduce(a * v, axis=1)
         quotient = math.fsum((v * w).tolist()) / math.fsum((v * v).tolist())
         if previous is not None and abs(quotient - previous) < POWER_ITERATION_TOL:
             return quotient

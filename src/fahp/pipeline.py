@@ -17,6 +17,7 @@ re-derives the matrix, the weights and the scores from them.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -93,23 +94,17 @@ class PipelineResult(Record):
     validation: ValidationRecord | None = None
 
 
-class _stage:
+@contextlib.contextmanager
+def _stage(name: str):
     """Names the stage a failure came from: FahpError, OSError, ValueError
     and KeyError become PipelineError(name, exc); GateRejected and an
     already wrapped PipelineError pass through."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is None or isinstance(exc, (GateRejected, PipelineError)):
-            return False
-        if isinstance(exc, (FahpError, OSError, ValueError, KeyError)):
-            raise PipelineError(self.name, exc) from exc
-        return False
+    try:
+        yield
+    except (GateRejected, PipelineError):
+        raise
+    except (FahpError, OSError, ValueError, KeyError) as exc:
+        raise PipelineError(name, exc) from exc
 
 
 def _ingest(config: RunConfig, *, row_ids: bool = False) -> RatingMatrix:
