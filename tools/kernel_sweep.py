@@ -12,6 +12,9 @@ n columns. It then times each kernel on that input:
 
 - `build_comparison` of the column means (the mean-gap rule);
 - `lambda_max` of that matrix, timed alone, since paper_compat skips it;
+- `fuzzify_float`, `fuzzify` of the same entries as a float-built
+  `ComparisonMatrix`, as the demos and tests build one: the float
+  matcher `_match_codes` runs only for such a matrix, never in a run;
 - `synthetic_extents` of the matrix and `weights` of the extents;
 - `reference_weights` and `reference_scores`, the run-time oracle;
 - `run` of the file under paper_compat, ingest to report.
@@ -42,10 +45,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from fahp import (  # noqa: E402
+    ComparisonMatrix,
     DatasetSchema,
     RunConfig,
     build_comparison,
     column_means,
+    fuzzify,
     lambda_max,
     load_csv,
     reference_scores,
@@ -100,12 +105,14 @@ def sweep(ratings: Path, schema: Path, runs: int) -> dict[str, float]:
     matrix = load_csv(str(ratings), DatasetSchema.from_json(str(schema)), row_ids=False)
     means = column_means(matrix)
     comparison = build_comparison(means)
+    float_built = ComparisonMatrix(entries=comparison.entries.copy())
     extents = synthetic_extents(comparison)
     columns = [memoryview(column) for column in matrix.values.T]
     config = RunConfig(input=str(ratings), schema=str(schema), ir_mode="paper_compat")
     calls = {
         "build_comparison": lambda: build_comparison(means),
         "lambda_max": lambda: lambda_max(comparison),
+        "fuzzify_float": lambda: fuzzify(float_built),
         "synthetic_extents": lambda: synthetic_extents(comparison),
         "weights": lambda: weights(extents),
         "reference_weights": lambda: reference_weights(means, "mean_gap"),
