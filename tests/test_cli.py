@@ -31,6 +31,7 @@ from fahp.consistency import DERIVATION_RULES
 from fahp.report import render_fuzzy_json, render_json, render_matrix_csv
 from fahp.tfn import MIRROR
 
+import oracle
 from conftest import ID_CELLS, NEEDS_DEV_FD, REPO_ROOT, piped
 
 SMALL_CSV = "ID,c1,c2\nu1,1.0,3.0\nu2,2.0,4.0\nu3,3.0,2.0\n"
@@ -626,16 +627,18 @@ class TestInputErrors:
 
     def test_nonpositive_report_scale(self, small_inputs, capsys):
         csv_path, schema_path = small_inputs
-        code = main(
-            [
-                "rank",
-                "--input", csv_path,
-                "--schema", schema_path,
-                "--report-scale", "0",
-            ]
-        )
-        assert code == EXIT_INPUT_ERROR
-        assert "config" in capsys.readouterr().err
+        # -1 starts with "-", so the full tree reads it, as a number
+        for scale in ("0", "-1"):
+            code = main(
+                [
+                    "rank",
+                    "--input", csv_path,
+                    "--schema", schema_path,
+                    "--report-scale", scale,
+                ]
+            )
+            assert code == EXIT_INPUT_ERROR
+            assert "config" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "ratings, flags, message",
@@ -916,10 +919,8 @@ class TestDump:
         # standard mode has no random index past 10 criteria; no dump runs
         # the gate, so the random-index source cannot matter
         columns = [f"c{j}" for j in range(12)]
-        rows = [
-            ",".join([f"u{i}", *(str((i * 7 + j * 3) % 9 * 0.5) for j in range(12))])
-            for i in range(5)
-        ]
+        cells = [[(i * 7 + j * 3) % 9 * 0.5 for j in range(12)] for i in range(5)]
+        rows = [",".join([f"u{i}", *map(str, row)]) for i, row in enumerate(cells)]
         csv_path = tmp_path / "twelve.csv"
         csv_path.write_text(
             "\n".join([",".join(["ID", *columns]), *rows]) + "\n", encoding="utf-8"
@@ -938,12 +939,19 @@ class TestDump:
             assert captured.err == ""
             outputs.append(captured.out)
         assert outputs[0] == outputs[1]
+        # past 10 criteria too, the matrix dumps hold the oracle's matrices
+        # of the column means
+        crisp = oracle.mean_gap([sum(column) / len(cells) for column in zip(*cells)])
         if stage == "fuzzy":
             doc = json.loads(outputs[0])
             assert doc["labels"] == [c.upper() for c in columns]
             assert np.array(doc["entries"]).shape == (12, 12, 3)
+            assert doc["entries"] == [[list(t) for t in row] for row in oracle.fuzzify(crisp)]
         else:
             assert len(outputs[0].splitlines()) == (6 if stage == "normalized" else 13)
+        if stage == "comparison":
+            records = list(csv.reader(io.StringIO(outputs[0])))[1:]
+            assert [[float(x) for x in record[1:]] for record in records] == crisp
 
 
 class TestClosedPipe:
@@ -1137,6 +1145,8 @@ class TestFlagsPerCommand:
         assert code == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
         assert "unrecognized arguments" in captured.err
+        # the full tree's usage comes first, as argparse prints it
+        assert captured.err.splitlines()[0] == "usage: fahp [-h] {rank,check,dump} ..."
         assert captured.out == ""
         assert not any(tmp_path.glob("x.*"))
 
@@ -1357,6 +1367,17 @@ class TestParsePath:
         assert _captured_outcome(cli._parse_args, argv) == _captured_outcome(
             _tree_parse, argv
         )
+
+    def test_spellings_read_as_the_flag_in_full(self):
+        # the tree takes an = form, an abbreviation, and a repeated flag's
+        # last value
+        full = cli._parse_args(["rank", "--input", "x", "--out-json", "b"])
+        for argv in (
+            ["rank", "--input=x", "--out-json", "b"],
+            ["rank", "--inp", "x", "--out-json", "b"],
+            ["rank", "--input", "x", "--out-json", "a", "--out-json", "b"],
+        ):
+            assert cli._parse_args(argv) == full
 
     def test_valid_run_builds_no_parser(self, dataset_path, parsers_built, capsys):
         for command in REQUIRED:

@@ -1,5 +1,5 @@
-"""The frozen Record base the value types share, and the guard that keeps
-dataclasses out of the package."""
+"""The frozen Record base the value types share, and the guards that keep
+dataclasses, assert statements and __debug__ out of the package."""
 
 import ast
 import dataclasses
@@ -320,6 +320,36 @@ def test_dataclass_imports_are_detected():
     assert list(_dataclass_imports("from dataclasses import dataclass")) == ["dataclasses"]
     assert list(_dataclass_imports("import os, dataclasses as dc")) == ["dataclasses"]
     assert list(_dataclass_imports("from .record import Record")) == []
+
+
+# python -O drops every assert statement and reads __debug__ as False, so
+# a check or a result resting on either differs between the two
+# interpreters, on any input
+def _stripped_by_optimize(source):
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assert):
+            yield ("assert", node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "__debug__":
+            yield ("__debug__", node.lineno)
+
+
+def test_no_module_asserts_or_reads_debug():
+    modules = sorted((REPO_ROOT / "src" / "fahp").glob("*.py"))
+    assert len(modules) > 10
+    found = {
+        path.name: list(_stripped_by_optimize(path.read_text(encoding="utf-8")))
+        for path in modules
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_stripped_statements_are_detected():
+    assert list(_stripped_by_optimize("assert x, 'why'")) == [("assert", 1)]
+    assert list(_stripped_by_optimize("y = 1\nif __debug__:\n    y = 2")) == [("__debug__", 2)]
+    assert list(_stripped_by_optimize("y = 0.0 if not __debug__ else 1.0")) == [
+        ("__debug__", 1)
+    ]
+    assert list(_stripped_by_optimize("if x:\n    raise ValueError(x)")) == []
 
 
 def test_no_exported_class_is_a_dataclass():
