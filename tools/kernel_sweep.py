@@ -19,10 +19,15 @@ n columns. It then times each kernel on that input:
 - `reference_weights` and `reference_scores`, the run-time oracle;
 - `run` of the file under paper_compat, ingest to report.
 
-The table gives each kernel's median raw ms over the runs. Everything
-runs in this one process, with the BLAS pool held to one thread, and
-the `fahp` of this checkout's `src/` is measured, ahead of any installed
-copy. The table is a reading, not a check: it sets no threshold.
+The first table gives each kernel's median raw ms over the runs. The
+second gives the spread of the same runs: the distance between their
+quartiles (`statistics.quantiles`) as a percentage of their median, so
+a difference between two trees smaller than it is not resolved. It
+needs at least two runs; with three, as in CI, the quartiles of the
+default method are the fastest and the slowest run. Everything runs in this one process, with the
+BLAS pool held to one thread, and the `fahp` of this checkout's `src/`
+is measured, ahead of any installed copy. The tables are a reading, not
+a check: they set no threshold.
 """
 
 from __future__ import annotations
@@ -100,8 +105,8 @@ def _ms(call) -> float:
     return (time.perf_counter() - start) * 1e3
 
 
-def sweep(ratings: Path, schema: Path, runs: int) -> dict[str, float]:
-    """The median raw ms of each kernel over runs calls on one file."""
+def sweep(ratings: Path, schema: Path, runs: int) -> dict[str, list[float]]:
+    """The raw ms of each kernel's runs calls on one file."""
     matrix = load_csv(str(ratings), DatasetSchema.from_json(str(schema)), row_ids=False)
     means = column_means(matrix)
     comparison = build_comparison(means)
@@ -119,7 +124,13 @@ def sweep(ratings: Path, schema: Path, runs: int) -> dict[str, float]:
         "reference_scores": lambda: reference_scores(columns, means, "mean_gap"),
         "run": lambda: run(config),
     }
-    return {name: statistics.median(_ms(call) for _ in range(runs)) for name, call in calls.items()}
+    return {name: [_ms(call) for _ in range(runs)] for name, call in calls.items()}
+
+
+def spread_percent(times: list[float]) -> float:
+    """The interquartile range of times as a percentage of their median."""
+    q1, _, q3 = statistics.quantiles(times, n=4)
+    return (q3 - q1) / statistics.median(times) * 100.0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -134,10 +145,21 @@ def main(argv: list[str] | None = None) -> int:
 
     kernels = list(table[ORDERS[0]])
     width = max(len(name) for name in kernels)
+    header = f"{'kernel':<{width}}" + "".join(f"  {f'n={n}':>9}" for n in ORDERS)
     print(f"median raw ms over {args.runs} in-process calls, {ROWS} rows, mean-gap rule")
-    print(f"{'kernel':<{width}}" + "".join(f"  {f'n={n}':>9}" for n in ORDERS))
+    print(header)
     for name in kernels:
-        print(f"{name:<{width}}" + "".join(f"  {table[n][name]:9.2f}" for n in ORDERS))
+        cells = (statistics.median(table[n][name]) for n in ORDERS)
+        print(f"{name:<{width}}" + "".join(f"  {ms:9.2f}" for ms in cells))
+    if args.runs < 2:
+        print("no spread: it needs at least two calls per kernel and n")
+        return 0
+    print()
+    print(f"interquartile range of the same {args.runs} calls, in % of their median")
+    print(header)
+    for name in kernels:
+        cells = (spread_percent(table[n][name]) for n in ORDERS)
+        print(f"{name:<{width}}" + "".join(f"  {pct:8.1f}%" for pct in cells))
     return 0
 
 
