@@ -845,3 +845,11 @@ class TestTravelReviewsFile:
         )
         shipped = REPO_ROOT / "data" / "travel_reviews_surrogate.csv"
         assert out.read_bytes() == shipped.read_bytes()
+
+    def test_tool_help_writes_no_file(self, tmp_path):
+        tool = REPO_ROOT / "tools" / "make_surrogate_dataset.py"
+        done = subprocess.run(
+            [sys.executable, str(tool), "--help"], cwd=tmp_path, capture_output=True, timeout=120
+        )
+        assert done.returncode == 0
+        assert list(tmp_path.iterdir()) == []

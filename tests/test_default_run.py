@@ -102,6 +102,15 @@ def test_default_rank_of_the_shipped_dataset(tmp_path, capsys):
     assert float.hex(consistency["ci"]) == "0x1.3458d96b2a300p-5"
     assert float.hex(consistency["cr"]) == "0x1.9de3809d971fdp-6"
     assert consistency["accepted"] is True
+    assert list(doc["config_echo"].items()) == [
+        ("input", str(SHIPPED)),
+        ("schema", None),
+        ("ir_mode", "standard"),
+        ("derivation", "mean_gap"),
+        ("report_scale", 1.0),
+        ("mse_tol", 0.001),
+        ("force", False),
+    ]
 
 
 def test_tall_input_gives_the_same_sections(tmp_path, capsys):

@@ -9,10 +9,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fahp import ConsistencyReport, RankingReport, RankRow, RunConfig, WeightVector, report
+from fahp import ConsistencyReport, RankingReport, RankRow, RunConfig, WeightVector, rank, report
 from fahp.report import _csv_field, render_json, render_matrix_csv, report_to_dict
 
 # -0.0 and 0.0 compare equal but print differently; repr switches to an
@@ -130,12 +130,29 @@ def ranking_reports(draw):
                          weights=weights)
 
 
+# 12 criteria, so both row lists run past 10 rows, one label that JSON
+# escapes; hypothesis runs an explicit example first and does not shrink it
+TWELVE_LABELS = [f"c{i}" for i in range(11)] + ['Parks "Picnic"\\\n']
+TWELVE_WEIGHTS = np.arange(12) / 66
+TWELVE_CRITERIA = RankingReport(
+    rows=rank(TWELVE_LABELS, 3 * TWELVE_WEIGHTS, TWELVE_WEIGHTS),
+    mse=3.6e-31,
+    consistency=ConsistencyReport(
+        lambda_max=12.5, n=12, ci=0.045, ir=1.54, cr=0.0292, accepted=True
+    ),
+    weights=WeightVector(
+        labels=TWELVE_LABELS, weights=TWELVE_WEIGHTS, min_degrees=np.arange(12) / 11
+    ),
+)
+
+
 class TestRenderJson:
     @given(
         ranking=ranking_reports(),
         input_name=REPORT_LABEL,
         report_scale=st.sampled_from([1.0, 10.0, 0.5, 3.7, 1e-3, 1e6]),
     )
+    @example(ranking=TWELVE_CRITERIA, input_name="in\tput.csv", report_scale=10.0)
     @settings(max_examples=150, deadline=None)
     def test_equals_the_indented_encoder(self, ranking, input_name, report_scale):
         echo = RunConfig(input=input_name, schema=input_name, report_scale=report_scale).echo()

@@ -12,8 +12,8 @@ Run from the repository root:
     python3 tools/make_surrogate_dataset.py data/travel_reviews_surrogate.csv
 """
 
+import argparse
 import csv
-import sys
 
 import numpy as np
 
@@ -74,4 +74,8 @@ def main(out_path):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1] if len(sys.argv) > 1 else "data/travel_reviews_surrogate.csv")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "out_path", nargs="?", default="data/travel_reviews_surrogate.csv", help="CSV to write"
+    )
+    main(parser.parse_args().out_path)
