@@ -38,8 +38,9 @@ def synthetic_extents(f: FuzzyComparisonMatrix) -> np.ndarray:
     return sums / total[::-1]
 
 
-def possibility_matrix(extents: np.ndarray) -> np.ndarray:
-    """V[i, k], the degree of possibility that extent i >= extent k.
+def _possibility(extents: np.ndarray, columns=None) -> np.ndarray:
+    """V[i, j], the degree of possibility that extent i >= extent k, for
+    the k that the mask columns(l, m) picks, or every k when it is None.
 
     extents is an (n, 3) array of (l, m, u) rows; ValueError unless every
     row satisfies l <= m <= u, which also rejects NaN.
@@ -56,20 +57,28 @@ def possibility_matrix(extents: np.ndarray) -> np.ndarray:
     components = np.asarray(extents, dtype=float)
     if components.ndim != 2 or components.shape[1] != 3:
         raise ValueError(f"expected extents of shape (n, 3), got {components.shape}")
-    # three (n, 1) columns; their transposes are the (1, n) rows
-    low, mid, up = components.T[:, :, None]
+    low, mid, up = components.T
     if not np.all((low <= mid) & (mid <= up)):
         raise ValueError("every extent must satisfy l <= m <= u")
-    overlap = (mid < mid.T) & (low.T < up)
+    k = slice(None) if columns is None else columns(low, mid)
+    # (n, 1) columns for i against (1, k) rows for the extents compared
+    low_k, mid_k = low[None, k], mid[None, k]
+    mid, up = mid[:, None], up[:, None]
+    overlap = (mid < mid_k) & (low_k < up)
     degree = np.divide(
-        low.T - up,
-        (mid - up) - (mid.T - low.T),
+        low_k - up,
+        (mid - up) - (mid_k - low_k),
         out=np.zeros(overlap.shape),
         where=overlap,
     )
     np.minimum(degree, 1.0, out=degree)
-    degree[mid >= mid.T] = 1.0
+    degree[mid >= mid_k] = 1.0
     return degree
+
+
+def possibility_matrix(extents: np.ndarray) -> np.ndarray:
+    """V[i, k], the degree of possibility that extent i >= extent k."""
+    return _possibility(extents)
 
 
 def possibility(m2: Tfn, m1: Tfn) -> float:
@@ -77,11 +86,36 @@ def possibility(m2: Tfn, m1: Tfn) -> float:
     return float(possibility_matrix([m2.as_tuple(), m1.as_tuple()])[0, 1])
 
 
+def _stair(low: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    """A mask of the columns min_degrees compares against."""
+    order = np.argsort(-mid, kind="stable")
+    lows = low[order]
+    kept = np.empty(lows.size, dtype=bool)
+    kept[0] = True
+    kept[1:] = lows[1:] > np.maximum.accumulate(lows)[:-1]
+    stair = order[kept]
+    spread = mid - low
+    # each k against the first kept k' with l_k' >= l_k; see min_degrees
+    wanted = spread > spread[stair[np.searchsorted(low[stair], low)]]
+    wanted[stair] = True
+    return wanted
+
+
 def min_degrees(extents: np.ndarray) -> np.ndarray:
-    """Smallest possibility that each extent dominates every other one."""
+    """Smallest possibility that each extent dominates every other one:
+    possibility_matrix(extents).min(axis=1) to the bit, over a stair.
+
+    From the largest m down (ties in index order) the stair keeps each
+    extent whose l tops every one kept before it. A dropped k has a kept
+    k' with m_k' >= m_k and l_k' >= l_k; as V(S_i >= S_k) falls when l_k
+    or m_k rises, k' is disjoint whenever k is and has no larger V. Every
+    rounded step of V keeps that order if m_k' - l_k' >= m_k - l_k too, so
+    where the first such k' falls short, k is kept. The hypothesis tests
+    of TestMinDegrees pin the bits on arbitrary and lattice extents.
+    """
     if len(extents) < 2:
         raise TooFewCriteria(len(extents))
-    return possibility_matrix(extents).min(axis=1)
+    return _possibility(extents, _stair).min(axis=1)
 
 
 class WeightVector(Record):

@@ -13,6 +13,7 @@ from fahp import (
     Tfn,
     TooFewCriteria,
     WeightVector,
+    build_comparison,
     fuzzify,
     min_degrees,
     possibility,
@@ -20,6 +21,7 @@ from fahp import (
     synthetic_extents,
     weights,
 )
+from fahp.extent import _stair
 
 
 # two extents whose modal values are an ulp apart: the overlap ordinate of
@@ -33,6 +35,19 @@ ULP_APART = [
 ]
 
 
+# S_2 and S_3 share m and u, and l_3 is an ulp below l_2, so the stair
+# drops S_3; but V(S_1 >= S_3) rounds an ulp below V(S_1 >= S_2), though it
+# is the larger in exact arithmetic, so S_3 must be compared against too
+ULP_BELOW_ITS_DOMINATOR = [
+    [float.fromhex(x) for x in row]
+    for row in (
+        ("0x1.064fad28035b8p-1", "0x1.65ea59abca3ebp-1", "0x1.31a8f894be630p+0"),
+        ("0x1.c693317ae0b8ap-2", "0x1.eb0ab9bc93f5ep-1", "0x1.f5855cde49fafp+0"),
+        ("0x1.c693317ae0b89p-2", "0x1.eb0ab9bc93f5ep-1", "0x1.f5855cde49fafp+0"),
+    )
+]
+
+
 def tfns():
     triple = st.tuples(
         st.floats(min_value=-100, max_value=100, allow_nan=False),
@@ -40,6 +55,25 @@ def tfns():
         st.floats(min_value=-100, max_value=100, allow_nan=False),
     )
     return triple.map(lambda t: Tfn(*sorted(t)))
+
+
+def extent_set(seed):
+    """2 to 40 ordered (l, m, u) rows drawn from a pool of at most 8 values,
+    in [-100, 100] or two-decimal in [-2, 2], each bound moved an ulp either
+    way or not at all: ties in m, equal triples and bounds an ulp apart are
+    common."""
+    rng = np.random.default_rng(seed)
+    pool = rng.uniform(-100, 100, rng.integers(1, 9))
+    if rng.integers(2):
+        pool = np.round(pool / 50, 2)
+    values = rng.choice(pool, (rng.integers(2, 41), 3))
+    step = rng.integers(-1, 2, values.shape)
+    nudged = np.nextafter(values, np.where(step > 0, np.inf, -np.inf))
+    return np.sort(np.where(step == 0, values, nudged), axis=1)
+
+
+def full_minimum(extents):
+    return possibility_matrix(extents).min(axis=1)
 
 
 def random_reciprocal(rng, n):
@@ -165,8 +199,9 @@ class TestPossibilityMatrix:
         ids=["l>m", "m>u", "nan", "ragged", "flat", "3-d"],
     )
     def test_rejects_anything_but_valid_tfn_rows(self, extents):
-        with pytest.raises(ValueError):
-            possibility_matrix(extents)
+        for kernel in (possibility_matrix, min_degrees):
+            with pytest.raises(ValueError):
+                kernel(extents)
 
 
 class TestMinDegrees:
@@ -184,14 +219,69 @@ class TestMinDegrees:
         assert degrees.tolist() == [1.0, 0.0]
 
     def test_single_extent_rejected(self):
-        with pytest.raises(TooFewCriteria):
-            min_degrees(np.array([[1, 2, 3]]))
+        for extents in (np.array([[1, 2, 3]]), np.empty((0, 3))):
+            with pytest.raises(TooFewCriteria):
+                min_degrees(extents)
 
     def test_capped_at_one_when_modal_values_are_an_ulp_apart(self):
         extents = np.array(ULP_APART)
         assert possibility_matrix(extents)[0, 1] == 1.0
         assert min_degrees(extents).tolist() == [1.0, 1.0]
         assert weights(extents).weights.tolist() == [0.5, 0.5]
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=1000, deadline=None)
+    def test_stair_is_bit_equal_to_the_full_minimum(self, seed):
+        extents = extent_set(seed)
+        assert min_degrees(extents).tobytes() == full_minimum(extents).tobytes()
+
+    @given(n=st.integers(2, 400), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_stair_is_bit_equal_on_lattice_extents(self, n, seed):
+        rng = np.random.default_rng(seed)
+        ratings = rng.integers(0, 401, (int(rng.integers(1, 30)), n)) / 100
+        extents = synthetic_extents(build_comparison(ratings.mean(axis=0)))
+        degrees = min_degrees(extents)
+        assert degrees.tobytes() == full_minimum(extents).tobytes()
+        assert degrees.tobytes() == np.array(oracle.min_degrees(extents.tolist())).tobytes()
+
+    def test_an_extent_an_ulp_below_its_dominator_is_compared_against(self):
+        extents = np.array(ULP_BELOW_ITS_DOMINATOR)
+        low, mid, _ = extents.T
+        assert _stair(low, mid).tolist() == [True, True, True]
+        assert (mid[1], extents[1, 2]) == (mid[2], extents[2, 2])
+        assert np.nextafter(low[2], 1.0) == low[1]
+        assert min_degrees(extents).tobytes() == full_minimum(extents).tobytes()
+
+    def test_two_extent_stair_of_the_reference_tests(self):
+        """test_reference's seed-201 means (n = 25) give a stair of two
+        extents, and four degrees take their minimum from the second."""
+        rng = np.random.default_rng(201)
+        n = rng.integers(2, 80)
+        means = (rng.integers(0, 17, size=(rng.integers(1, 30), n)) / 4).mean(axis=0)
+        extents = synthetic_extents(build_comparison(means))
+        stair = np.flatnonzero(_stair(extents[:, 0], extents[:, 1]))
+        assert (n, stair.size) == (25, 2)
+        top = np.argmax(extents[:, 1])
+        degrees = min_degrees(extents)
+        assert np.sum(degrees < possibility_matrix(extents)[:, top]) == 4
+        assert degrees.tobytes() == full_minimum(extents).tobytes()
+        assert degrees.tobytes() == np.array(oracle.min_degrees(extents.tolist())).tobytes()
+
+    def test_stair_of_every_extent(self):
+        """Modal values fall while lower bounds rise: all 200 are steps."""
+        mid = np.linspace(1.0, 0.5, 200)
+        extents = np.stack([np.linspace(0.0, 0.4, 200), mid, mid + 0.3], axis=1)
+        assert _stair(extents[:, 0], extents[:, 1]).all()
+        assert min_degrees(extents).tobytes() == full_minimum(extents).tobytes()
+
+    def test_equal_triples_make_a_one_extent_stair(self):
+        """Ties in m are walked in index order and an equal l is no step, so
+        the first of 100 equal extents, after 100 that they dominate, is the
+        whole stair, whatever order an unstable sort gives the ties."""
+        extents = np.repeat([[0.0, 0.25, 0.9], [0.2, 0.5, 0.9]], 100, axis=0)
+        assert np.flatnonzero(_stair(extents[:, 0], extents[:, 1])).tolist() == [100]
+        assert min_degrees(extents).tobytes() == full_minimum(extents).tobytes()
 
 
 class TestWeights:

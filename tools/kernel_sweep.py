@@ -16,6 +16,9 @@ n columns. It then times each kernel on that input:
   `ComparisonMatrix`, as the demos and tests build one: the float
   matcher `_match_codes` runs only for such a matrix, never in a run;
 - `synthetic_extents` of the matrix and `weights` of the extents;
+- `weights_full_stair`, `weights` of n extents whose modal values fall
+  while their lower bounds rise, so the staircase that `min_degrees`
+  walks holds all n of them: its worst case, n² ordinates as before;
 - `reference_weights` and `reference_scores`, the run-time oracle;
 - `run` of the file under paper_compat, ingest to report.
 
@@ -98,6 +101,13 @@ def write_ratings(directory: Path, n: int) -> tuple[Path, Path]:
     return ratings, schema
 
 
+def full_stair(n: int) -> np.ndarray:
+    """n extents, each on the staircase: m falls from 1 to 0.5 while l
+    rises from 0 to 0.4."""
+    mid = np.linspace(1.0, 0.5, n)
+    return np.stack([np.linspace(0.0, 0.4, n), mid, mid + 0.3], axis=1)
+
+
 def _ms(call) -> float:
     gc.collect()
     start = time.perf_counter()
@@ -112,6 +122,7 @@ def sweep(ratings: Path, schema: Path, runs: int) -> dict[str, list[float]]:
     comparison = build_comparison(means)
     float_built = ComparisonMatrix(entries=comparison.entries.copy())
     extents = synthetic_extents(comparison)
+    stair = full_stair(len(means))
     columns = [memoryview(column) for column in matrix.values.T]
     config = RunConfig(input=str(ratings), schema=str(schema), ir_mode="paper_compat")
     calls = {
@@ -120,6 +131,7 @@ def sweep(ratings: Path, schema: Path, runs: int) -> dict[str, list[float]]:
         "fuzzify_float": lambda: fuzzify(float_built),
         "synthetic_extents": lambda: synthetic_extents(comparison),
         "weights": lambda: weights(extents),
+        "weights_full_stair": lambda: weights(stair),
         "reference_weights": lambda: reference_weights(means, "mean_gap"),
         "reference_scores": lambda: reference_scores(columns, means, "mean_gap"),
         "run": lambda: run(config),
